@@ -5,23 +5,17 @@ writes a versioned ``BENCH_speed.json`` so successive commits leave a
 comparable trajectory:
 
 * **tokens/second** through the skeletal parser on the straightline(250)
-  workload, in four lanes: the dense-coded fast path, the
-  compressed-table fast path, the preserved string-keyed legacy path
-  (the pre-fast-path runtime, kept verbatim in
-  :mod:`repro.core.codegen.parser_rt` precisely so this ratio is
-  measured in-process on the same machine rather than against a stale
-  recorded number), and (schema 5) the **specialized** lane -- the
-  tables compiled to straight-line Python by
-  :mod:`repro.core.specialize`;
+  workload, over the default dense tables and the paper-faithful
+  compressed tables -- one coded runtime loop, two table
+  representations;
 * **table construction** phase times (spec parse, automaton, SLR
   resolution, compression);
 * **cold vs. warm start** through the persistent build cache, including
   the warm-start automaton-construction count (must be zero);
 * **simulator steps/second** (schema 2) across the dispatch lanes --
   the predecoded direct-threaded lane against the preserved
-  fetch/decode loop, plus (schema 5) the **fused** superinstruction
-  lane -- gated on every lane producing identical run results on every
-  bench workload;
+  fetch/decode loop -- gated on both lanes producing identical run
+  results on every bench workload;
 * **end-to-end throughput** (schema 2): per-phase medians from the
   pipeline profiler, plus batch-compilation routines/second serial vs.
   parallel with byte-identical outputs asserted before timing.
@@ -50,12 +44,16 @@ from typing import Any, Callable, Dict, List
 #:    ``parallel_wall_s`` is now the warm-pool run), and single-core
 #:    hosts skip pool spawn entirely (``parallel_mode`` == "serial").
 #: 5: runtime specialization lanes.  ``codegen`` gains the
-#:    ``specialized`` lane (the table-compiled engine from
-#:    :mod:`repro.core.specialize`) plus ``lanes_identical`` and
+#:    ``specialized`` lane (tables compiled to a generated Python
+#:    module) plus ``lanes_identical`` and
 #:    ``speedup_specialized_vs_compressed``; ``simulator`` gains the
 #:    ``fused`` superinstruction lane plus
 #:    ``speedup_fused_vs_predecode`` and per-chain ``fusion_hits``.
-SCHEMA_VERSION = 5
+#: 6: one code-generator runtime.  The ``specialized`` and
+#:    ``legacy_string`` codegen lanes and the ``fused`` simulator lane
+#:    (with ``fusion``) are gone; codegen reports
+#:    ``speedup_dense_vs_compressed``.
+SCHEMA_VERSION = 6
 
 DEFAULT_REPORT = "BENCH_speed.json"
 
@@ -136,18 +134,14 @@ def measure_codegen(
     seed: int = 9,
     variant: str = "full",
 ) -> Dict[str, Any]:
-    """Tokens/second in the dense, compressed, legacy and specialized
-    runtime lanes.
+    """Tokens/second over the dense and the compressed parse tables.
 
-    All lanes generate the same workload with the same build's SDTS on
-    the same machine in the same process, so the reported ratios
-    isolate the runtime representation -- not machine load or Python
-    startup.  The ``specialized`` lane is the table-compiled engine
-    from :mod:`repro.core.specialize` (built in-memory here, so the
-    bench never depends on cache state).  The harness asserts every
-    lane emits an identical instruction stream before timing anything.
+    Both lanes generate the same workload with the same build's SDTS on
+    the same machine in the same process, so the reported ratio
+    isolates the table representation -- not machine load or Python
+    startup.  The harness asserts both lanes emit an identical
+    instruction stream before timing anything.
     """
-    from repro.core import specialize
     from repro.core.codegen.parser_rt import CodeGenerator
     from repro.bench.workloads import straightline
     from repro.pascal.compiler import cached_build
@@ -159,39 +153,26 @@ def measure_codegen(
     compressed_gen = CodeGenerator(
         build.sdts, build.compressed, build.machine
     )
-    legacy_gen = CodeGenerator(
-        build.sdts, build.tables, build.machine, string_lookup=True
-    )
-    engine = specialize.build_engine(build)
 
     program = check_program(parse_source(straightline(assignments, seed=seed)))
     ir = generate_ir(program)
     dense_tokens = ir.tokens(codes=build.tables.sym_index)
     compressed_tokens = ir.tokens(codes=build.compressed.sym_index)
-    plain_tokens = ir.tokens()
     ntokens = len(dense_tokens)
     frame = ir.spill_frame
 
-    def _interp(gen, toks):
-        return gen.generate(list(toks), frame=frame)
-
-    def _spec(_engine, toks):
-        return _engine(list(toks), frame=frame)
-
     lanes = {
-        "dense": (build.code_generator, dense_tokens, _interp),
-        "compressed": (compressed_gen, compressed_tokens, _interp),
-        "legacy_string": (legacy_gen, plain_tokens, _interp),
-        "specialized": (engine, dense_tokens, _spec),
+        "dense": (build.code_generator, dense_tokens),
+        "compressed": (compressed_gen, compressed_tokens),
     }
 
     # Correctness gate: identical instruction streams across lanes.
     streams = {
         name: [
             str(item)
-            for item in call(gen, toks).buffer.items
+            for item in gen.generate(list(toks), frame=frame).buffer.items
         ]
-        for name, (gen, toks, call) in lanes.items()
+        for name, (gen, toks) in lanes.items()
     }
     reference = streams["dense"]
     for name, stream in streams.items():
@@ -213,9 +194,9 @@ def measure_codegen(
     # instead of biasing whichever lane happened to run last.
     samples: Dict[str, List[float]] = {name: [] for name in lanes}
     for _ in range(iterations):
-        for name, (gen, toks, call) in lanes.items():
+        for name, (gen, toks) in lanes.items():
             start = time.perf_counter()
-            call(gen, toks)
+            gen.generate(list(toks), frame=frame)
             samples[name].append(time.perf_counter() - start)
     for name, lane_samples in samples.items():
         median = statistics.median(lane_samples)
@@ -225,18 +206,8 @@ def measure_codegen(
             "samples_s": lane_samples,
             "tokens_per_s": ntokens / median,
         }
-    result["speedup_dense_vs_legacy"] = (
-        result["legacy_string"]["median_s"] / result["dense"]["median_s"]
-    )
-    result["speedup_compressed_vs_legacy"] = (
-        result["legacy_string"]["median_s"] / result["compressed"]["median_s"]
-    )
-    result["speedup_specialized_vs_compressed"] = (
-        result["compressed"]["median_s"] / result["specialized"]["median_s"]
-    )
-    result["speedup_specialized_vs_legacy"] = (
-        result["legacy_string"]["median_s"]
-        / result["specialized"]["median_s"]
+    result["speedup_dense_vs_compressed"] = (
+        result["compressed"]["median_s"] / result["dense"]["median_s"]
     )
     return result
 
@@ -302,11 +273,11 @@ def _gate_workloads() -> List:
     ]
 
 
-def _run_lane(compiled, predecode: bool, fuse_pairs=None):
+def _run_lane(compiled, predecode: bool):
     """One fresh simulator run; returns (SimResult, final regs, cc)."""
     from repro.machines.s370.simulator import Simulator
 
-    sim = Simulator(predecode=predecode, fuse_pairs=fuse_pairs)
+    sim = Simulator(predecode=predecode)
     sim.load_image(compiled.image())
     result = sim.run()
     return result, list(sim.regs), sim.cc
@@ -315,69 +286,44 @@ def _run_lane(compiled, predecode: bool, fuse_pairs=None):
 def measure_simulator(
     iterations: int = 9, variant: str = "full"
 ) -> Dict[str, Any]:
-    """Steps/second in the fused, predecoded and legacy dispatch lanes.
+    """Steps/second in the predecoded and legacy dispatch lanes.
 
     Correctness gate first: every bench workload must produce an
     identical :class:`~repro.machines.s370.simulator.SimResult` (output,
     step count, halt/trap state, per-mnemonic instruction counts) *and*
-    identical final registers and condition code in all three lanes
-    (the fused lane runs with that workload's own profiled hot pairs).
-    Only then is the loop-heavy kernel timed, interleaving the lanes
+    identical final registers and condition code in both lanes.  Only
+    then is the loop-heavy kernel timed, interleaving the lanes
     round-robin as in :func:`measure_codegen`.
     """
     from repro.bench.workloads import loop_kernel
-    from repro.machines.s370 import fusion
     from repro.pascal.compiler import compile_source
 
     # -- correctness gate ------------------------------------------------
     checked = []
     for name, source in _gate_workloads():
         compiled = compile_source(source, variant=variant)
-        pairs = fusion.profile_image(compiled.image())
-        fast, fast_regs, fast_cc = _run_lane(compiled, predecode=True)
-        slow, slow_regs, slow_cc = _run_lane(compiled, predecode=False)
-        fused, fused_regs, fused_cc = _run_lane(
-            compiled, predecode=True, fuse_pairs=pairs
-        )
-        if (
-            fast != slow
-            or fast_regs != slow_regs
-            or fast_cc != slow_cc
-        ):
+        fast = _run_lane(compiled, predecode=True)
+        slow = _run_lane(compiled, predecode=False)
+        if fast != slow:
             raise AssertionError(
                 f"simulator lanes diverged on workload {name!r}: "
-                f"fast={fast!r} slow={slow!r}"
-            )
-        if (
-            fused != fast
-            or fused_regs != fast_regs
-            or fused_cc != fast_cc
-        ):
-            raise AssertionError(
-                f"fused simulator lane diverged on workload {name!r}: "
-                f"fused={fused!r} predecoded={fast!r}"
+                f"fast={fast[0]!r} slow={slow[0]!r}"
             )
         checked.append(name)
 
     # -- timing ----------------------------------------------------------
     compiled = compile_source(loop_kernel(1500), variant=variant)
     image = compiled.image()
-    fuse_pairs = fusion.profile_image(image)
     reference, _, _ = _run_lane(compiled, predecode=True)
     nsteps = reference.steps
 
     from repro.machines.s370.simulator import Simulator
 
-    lanes = {
-        "fused": (True, fuse_pairs),
-        "predecoded": (True, None),
-        "legacy": (False, None),
-    }
+    lanes = {"predecoded": True, "legacy": False}
     samples: Dict[str, List[float]] = {name: [] for name in lanes}
-    fusion_hits: Dict[str, int] = {}
     for _ in range(iterations):
-        for name, (predecode, pairs) in lanes.items():
-            sim = Simulator(predecode=predecode, fuse_pairs=pairs)
+        for name, predecode in lanes.items():
+            sim = Simulator(predecode=predecode)
             sim.load_image(image)
             start = time.perf_counter()
             run = sim.run()
@@ -387,11 +333,6 @@ def measure_simulator(
                     f"lane {name!r} executed {run.steps} steps, "
                     f"expected {nsteps}"
                 )
-            if name == "fused":
-                fusion_hits = {
-                    "+".join(chain): count
-                    for chain, count in sim.fusion_hits.most_common()
-                }
 
     result: Dict[str, Any] = {
         "workload": "loop_kernel(1500)",
@@ -399,11 +340,6 @@ def measure_simulator(
         "iterations": iterations,
         "lanes_identical": True,
         "gate_workloads": checked,
-        "fusion": {
-            "hot_pairs": len(fuse_pairs),
-            "max_run": fusion.MAX_RUN,
-            "hits": fusion_hits,
-        },
     }
     from repro.bench.metrics import steps_per_second
 
@@ -417,12 +353,6 @@ def measure_simulator(
         }
     result["speedup_predecode_vs_legacy"] = (
         result["legacy"]["median_s"] / result["predecoded"]["median_s"]
-    )
-    result["speedup_fused_vs_predecode"] = (
-        result["predecoded"]["median_s"] / result["fused"]["median_s"]
-    )
-    result["speedup_fused_vs_legacy"] = (
-        result["legacy"]["median_s"] / result["fused"]["median_s"]
     )
     return result
 
@@ -559,7 +489,7 @@ def validate_report(report: Dict[str, Any]) -> List[str]:
         if key not in report:
             problems.append(f"missing top-level key {key!r}")
     codegen = report.get("codegen", {})
-    for lane in ("dense", "compressed", "legacy_string", "specialized"):
+    for lane in ("dense", "compressed"):
         timing = codegen.get(lane)
         if not isinstance(timing, dict):
             problems.append(f"missing codegen lane {lane!r}")
@@ -567,11 +497,12 @@ def validate_report(report: Dict[str, Any]) -> List[str]:
         for field in ("median_s", "min_s", "samples_s", "tokens_per_s"):
             if field not in timing:
                 problems.append(f"codegen.{lane} missing {field!r}")
-    for field in ("speedup_dense_vs_legacy", "speedup_compressed_vs_legacy",
-                  "speedup_specialized_vs_compressed",
-                  "speedup_specialized_vs_legacy"):
-        if not isinstance(codegen.get(field), (int, float)):
-            problems.append(f"codegen.{field} missing or non-numeric")
+    if not isinstance(
+        codegen.get("speedup_dense_vs_compressed"), (int, float)
+    ):
+        problems.append(
+            "codegen.speedup_dense_vs_compressed missing or non-numeric"
+        )
     if codegen.get("lanes_identical") is not True:
         problems.append("codegen.lanes_identical is not true")
     cache = report.get("build_cache", {})
@@ -581,7 +512,7 @@ def validate_report(report: Dict[str, Any]) -> List[str]:
             f"{cache.get('warm_automaton_builds')!r}, expected 0"
         )
     simulator = report.get("simulator", {})
-    for lane in ("fused", "predecoded", "legacy"):
+    for lane in ("predecoded", "legacy"):
         timing = simulator.get(lane)
         if not isinstance(timing, dict):
             problems.append(f"missing simulator lane {lane!r}")
@@ -589,17 +520,14 @@ def validate_report(report: Dict[str, Any]) -> List[str]:
         for field in ("median_s", "min_s", "samples_s", "steps_per_s"):
             if field not in timing:
                 problems.append(f"simulator.{lane} missing {field!r}")
-    for field in ("speedup_predecode_vs_legacy",
-                  "speedup_fused_vs_predecode"):
-        if not isinstance(simulator.get(field), (int, float)):
-            problems.append(f"simulator.{field} missing or non-numeric")
+    if not isinstance(
+        simulator.get("speedup_predecode_vs_legacy"), (int, float)
+    ):
+        problems.append(
+            "simulator.speedup_predecode_vs_legacy missing or non-numeric"
+        )
     if simulator.get("lanes_identical") is not True:
         problems.append("simulator.lanes_identical is not true")
-    fusion_section = simulator.get("fusion")
-    if not isinstance(fusion_section, dict) or not isinstance(
-        fusion_section.get("hits"), dict
-    ):
-        problems.append("simulator.fusion.hits missing")
     end_to_end = report.get("end_to_end", {})
     phases = end_to_end.get("phases")
     if not isinstance(phases, dict):
@@ -657,9 +585,7 @@ def render_summary(report: Dict[str, Any]) -> str:
         "",
         "lane               tokens/s      median",
     ]
-    for lane in ("specialized", "dense", "compressed", "legacy_string"):
-        if lane not in cg:
-            continue
+    for lane in ("dense", "compressed"):
         t = cg[lane]
         lines.append(
             f"{lane:<16s} {t['tokens_per_s']:>10,.0f}  "
@@ -667,15 +593,7 @@ def render_summary(report: Dict[str, Any]) -> str:
         )
     lines += [
         "",
-        f"dense vs legacy:      {cg['speedup_dense_vs_legacy']:.2f}x",
-        f"compressed vs legacy: {cg['speedup_compressed_vs_legacy']:.2f}x",
-    ]
-    if "speedup_specialized_vs_compressed" in cg:
-        lines.append(
-            f"specialized vs compressed: "
-            f"{cg['speedup_specialized_vs_compressed']:.2f}x"
-        )
-    lines += [
+        f"dense vs compressed: {cg['speedup_dense_vs_compressed']:.2f}x",
         f"table build: {1000 * tb['total_s']:.0f} ms "
         f"(automaton {1000 * tb['automaton_s']:.0f}, "
         f"slr {1000 * tb['slr_tables_s']:.0f}, "
@@ -690,22 +608,11 @@ def render_summary(report: Dict[str, Any]) -> str:
         lines += [
             "",
             f"simulator ({sim['workload']}, {sim['steps']} steps):",
-        ]
-        if "fused" in sim:
-            lines.append(
-                f"  fused      {sim['fused']['steps_per_s']:>12,.0f} steps/s"
-            )
-        lines += [
             f"  predecoded {sim['predecoded']['steps_per_s']:>12,.0f} steps/s",
             f"  legacy     {sim['legacy']['steps_per_s']:>12,.0f} steps/s",
             f"  predecode vs legacy: "
             f"{sim['speedup_predecode_vs_legacy']:.2f}x",
         ]
-        if "speedup_fused_vs_predecode" in sim:
-            lines.append(
-                f"  fused vs predecode:  "
-                f"{sim['speedup_fused_vs_predecode']:.2f}x"
-            )
     e2e = report.get("end_to_end")
     if e2e:
         phase_bits = ", ".join(

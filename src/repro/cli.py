@@ -48,10 +48,10 @@ Commands
     and pool failure degrades gracefully to serial.
 ``bench [speed|codequality]``
     Benchmark trajectories.  ``speed`` (the default): tokens/second
-    through the dense-coded, compressed and legacy string-keyed runtime
-    lanes, steps/second through the predecoded and legacy simulator
-    lanes, end-to-end per-phase medians and batch throughput,
-    table-build phase times, and cold-vs-warm build-cache start; writes
+    through the dense and compressed table lanes, steps/second through
+    the predecoded and legacy simulator lanes, end-to-end per-phase
+    medians and batch throughput, table-build phase times, and
+    cold-vs-warm build-cache start; writes
     ``BENCH_speed.json`` (see :mod:`repro.bench.speed`).
     ``codequality``: executed instructions, code bytes and per-rule
     peephole hits across the table-driven ``-O0``/``-O1`` and baseline
@@ -66,7 +66,6 @@ assemble -> simulate) after the normal output.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from pathlib import Path
 from typing import List, Optional
@@ -113,23 +112,6 @@ def _resolve_opt_level(args: argparse.Namespace) -> int:
     return 0 if args.no_peephole else args.opt_level
 
 
-def _add_specialize(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--no-specialize", action="store_true",
-        help="disable the specialized table-compiled generator engine "
-             "(same as REPRO_SPECIALIZE=0): always run the interpreted "
-             "table lane",
-    )
-
-
-def _apply_specialize(args: argparse.Namespace) -> None:
-    """``--no-specialize`` maps onto the environment switch the build
-    cache consults, so every attach point inherits it -- including
-    worker subprocesses, which copy the environment."""
-    if getattr(args, "no_specialize", False):
-        os.environ["REPRO_SPECIALIZE"] = "0"
-
-
 def build_arg_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -161,12 +143,6 @@ def build_arg_parser() -> argparse.ArgumentParser:
     run.add_argument("--legacy-sim", action="store_true",
                      help="execute on the decode-every-step simulator "
                           "lane instead of the predecoded dispatch cache")
-    run.add_argument("--fuse", action="store_true",
-                     help="profile the program once, then execute with "
-                          "superinstruction fusion over its hot "
-                          "instruction pairs (implies the predecoded "
-                          "lane)")
-    _add_specialize(run)
     _add_opt_level(run)
 
     comp = sub.add_parser("compile", help="compile and inspect")
@@ -189,7 +165,6 @@ def build_arg_parser() -> argparse.ArgumentParser:
     comp.add_argument("--dump-asm", action="store_true",
                       help="print the before/after peephole unified diff "
                            "with per-rule annotations")
-    _add_specialize(comp)
     comp.add_argument("--dump-cfg", action="store_true",
                       help="print the control-flow graph as Graphviz DOT "
                            "with per-block register/CC liveness")
@@ -217,7 +192,6 @@ def build_arg_parser() -> argparse.ArgumentParser:
                             "generator instead of failing that program")
     batch.add_argument("--no-run", action="store_true",
                        help="compile only; skip the simulator")
-    _add_specialize(batch)
     batch.add_argument("--profile", action="store_true",
                        help="print the batch's summed per-phase times")
     _add_opt_level(batch)
@@ -268,11 +242,11 @@ def build_arg_parser() -> argparse.ArgumentParser:
     chaos.add_argument("--runs", type=int, default=100)
     chaos.add_argument("--injector", action="append", default=None,
                        choices=("tables", "ifstream", "registers",
-                                "objmod", "buildcache", "specialize",
-                                "simcache", "peephole", "server",
-                                "dataflow", "regalloc", "summaries"),
+                                "objmod", "buildcache", "simcache",
+                                "peephole", "server", "dataflow",
+                                "regalloc", "summaries"),
                        help="restrict to one injector (repeatable; "
-                            "default: all twelve)")
+                            "default: all eleven)")
     _add_variant(chaos)
 
     serve = sub.add_parser(
@@ -300,7 +274,6 @@ def build_arg_parser() -> argparse.ArgumentParser:
     serve.add_argument("--fallback", action="store_true",
                        help="default per-routine baseline fallback for "
                             "requests that don't specify one")
-    _add_specialize(serve)
     serve.add_argument("--metrics-file", type=Path, default=None,
                        help="write the final metrics snapshot here on "
                             "drain")
@@ -381,23 +354,9 @@ def cmd_run(args: argparse.Namespace) -> int:
         )
         for event in compiled.fallback_events:
             print(f"** degraded: {event}", file=sys.stderr)
-        if compiled.stats.get("specialize_degraded_reason"):
-            print(
-                "** specialize degraded: "
-                f"{compiled.stats['specialize_degraded_reason']}",
-                file=sys.stderr,
-            )
-        fuse_pairs = None
-        if args.fuse:
-            from repro.machines.s370 import fusion
-
-            fuse_pairs = fusion.profile_image(
-                compiled.image(), input_values=args.input
-            )
         result = compiled.run(
             input_values=args.input,
             predecode=not args.legacy_sim,
-            fuse_pairs=fuse_pairs,
             profiler=profiler,
         )
         if profiler is not None:
@@ -741,7 +700,6 @@ _COMMANDS = {
 
 def main(argv: Optional[List[str]] = None) -> int:
     args = build_arg_parser().parse_args(argv)
-    _apply_specialize(args)
     try:
         return _COMMANDS[args.command](args)
     except ReproError as error:

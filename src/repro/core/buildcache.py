@@ -336,7 +336,6 @@ def cached_build(
     version) is deleted and replaced by a fresh build: the cache can
     cost time, never correctness.
     """
-    from repro.core import specialize
     from repro.core.cogg import (
         BuildResult,
         TABLE_MODES,
@@ -394,7 +393,7 @@ def cached_build(
                 compressed if table_mode == "compressed" else tables
             )
             generator = CodeGenerator(sdts, runtime_tables, machine)
-            build = BuildResult(
+            return BuildResult(
                 sdts=sdts,
                 tables=tables,
                 compressed=compressed,
@@ -404,11 +403,6 @@ def cached_build(
                 automaton=None,
                 table_mode=table_mode,
             )
-            # Warm start: the specialized module loads from its cache
-            # file next to the artifact -- zero regeneration, proven by
-            # the specialize_emits counter staying flat.
-            specialize.attach(build, cache_dir, fingerprint)
-            return build
 
     buildstats.bump("cache_misses")
     build = build_code_generator(
@@ -432,7 +426,4 @@ def cached_build(
         buildstats.bump("cache_writes")
     except OSError:  # pragma: no cover - unwritable cache dir is non-fatal
         pass
-    # Cold start: emit + compile the specialized module once, cached
-    # next to the artifact for every later process to import.
-    specialize.attach(build, cache_dir, fingerprint)
     return build

@@ -697,108 +697,3 @@ class RegisterAllocator:
                 if not pool[even].busy and not pool[even + 1].busy
             )
         return len(self._free_candidates(cls))
-
-
-class LegacyAllocator(RegisterAllocator):
-    """The allocator's pre-fast-path constant factors, preserved for the
-    benchmark harness's baseline lane.
-
-    Every class -> pool resolution goes through
-    ``machine.register_class``/``machine.gpr_class_of`` per call, register
-    selection builds and sorts the full candidate list per request, and
-    pinning hashes ``(pool_name, number)`` tuples -- exactly how this
-    module worked before resolution maps were precomputed and selection
-    became a min-scan.  Allocation *decisions* are identical to
-    :class:`RegisterAllocator`; only the constant factors differ.
-    ``CodeGenerator(string_lookup=True)`` uses this class so the
-    string-keyed baseline lane keeps paying the costs the fast path
-    removed.
-    """
-
-    __slots__ = ("_legacy_pinned",)
-
-    def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
-        self._legacy_pinned = set()
-        # No precomputed split map: split_pair must fall back to the
-        # per-call _cls/_gpr_nonterminal/_pool chain overridden above.
-        self._split_info_by_nt = {}
-
-    # -- per-call class/pool resolution (no precomputed maps) --
-
-    def _cls(self, nonterminal: str) -> RegisterClass:
-        cls = self.machine.register_class(nonterminal)
-        if cls is None:
-            raise CodeGenError(
-                f"non-terminal {nonterminal!r} has no register class in "
-                f"machine {self.machine.name!r}"
-            )
-        return cls
-
-    def _pool(self, cls: RegisterClass) -> Dict[int, RegState]:
-        return self._pools[self.machine.gpr_class_of(cls).name]
-
-    def _pool_name(self, nonterminal: str) -> str:
-        return self.machine.gpr_class_of(self._cls(nonterminal)).name
-
-    def state(self, nonterminal: str, number: int) -> RegState:
-        return self._pool(self._cls(nonterminal))[number]
-
-    # -- sort-based selection (head of the full sorted free list) --
-
-    def _best_free(
-        self, cls: RegisterClass, exclude: Optional[int] = None
-    ) -> Optional[RegState]:
-        free = [
-            s for s in self._free_candidates(cls) if s.number != exclude
-        ]
-        return free[0] if free else None
-
-    def _best_free_pair(self, cls: RegisterClass) -> Optional[int]:
-        pool = self._pool(cls)
-        candidates = [
-            even
-            for even in cls.allocatable
-            if not pool[even].busy and not pool[even + 1].busy
-        ]
-        candidates.sort(
-            key=lambda e: (max(pool[e].stamp, pool[e + 1].stamp), e)
-        )
-        return candidates[0] if candidates else None
-
-    # -- tuple-set pinning (epochs still stamped so eviction agrees) --
-
-    def pin(self, value: Union[RegValue, PairValue]) -> None:
-        for n in self._value_regs(value):
-            self._legacy_pinned.add((self._pool_name(value.cls), n))
-        super().pin(value)
-
-    def unpin_all(self) -> None:
-        self._legacy_pinned.clear()
-        super().unpin_all()
-
-    # -- per-call pool-name resolution in use counting --
-
-    def acquire(
-        self, value: Union[RegValue, PairValue], count: int = 1
-    ) -> None:
-        pool = self._pools[self._pool_name(value.cls)]
-        for n in self._value_regs(value):
-            state = pool[n]
-            state.busy = True
-            state.use_count += count
-
-    def release(
-        self, value: Union[RegValue, PairValue], count: int = 1
-    ) -> None:
-        pool = self._pools[self._pool_name(value.cls)]
-        for n in self._value_regs(value):
-            state = pool[n]
-            was_busy = state.busy
-            state.use_count -= count
-            if state.use_count <= 0:
-                state.busy = False
-                state.use_count = 0
-                state.cse = None
-                if was_busy and self.on_free is not None:
-                    self.on_free(n)

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Callable, Dict, FrozenSet, Iterable, List, Optional
+from typing import Callable, Dict, List, Optional
 
 from repro.errors import (
     AlignmentFaultError,
@@ -27,7 +27,7 @@ from repro.errors import (
     SimulatorError,
     StepLimitError,
 )
-from repro.machines.s370 import fusion, isa, runtime
+from repro.machines.s370 import isa, runtime
 
 
 def to_u32(value: int) -> int:
@@ -74,16 +74,8 @@ class Simulator:
     * ``predecode=False`` is the original decode-every-step loop,
       preserved verbatim as the measured baseline lane (see
       :mod:`repro.bench.speed`, section ``simulator``).
-    * ``fuse_pairs`` (a set of (mnemonic, mnemonic) pairs, usually from
-      :func:`repro.machines.s370.fusion.hot_pairs`) additionally builds
-      superinstruction handlers over the predecode cache: chains of
-      overlapping hot pairs dispatch once and retire up to
-      :data:`repro.machines.s370.fusion.MAX_RUN` steps, with the
-      component closures reused verbatim and guarded bails on taken
-      branches, halts, traps and self-modifying stores (see
-      :mod:`repro.machines.s370.fusion`).
 
-    All lanes produce identical :class:`SimResult` values (output,
+    Both lanes produce identical :class:`SimResult` values (output,
     step count, instruction counts) and identical trap behavior.
     """
 
@@ -93,7 +85,6 @@ class Simulator:
         input_values: Optional[List[int]] = None,
         strict_alignment: bool = False,
         predecode: bool = True,
-        fuse_pairs: Optional[Iterable[fusion.Pair]] = None,
     ):
         #: raise :class:`AlignmentFaultError` on misaligned fullword/
         #: halfword access (S/360-style integral boundaries).  Off by
@@ -117,23 +108,6 @@ class Simulator:
         # empty until the fast lane executes something.
         self._decoded: Dict[int, Callable[[], None]] = {}
         self._decoded_end: Dict[int, int] = {}
-        #: superinstruction pairs eligible for fusion (empty = lane off).
-        self.fuse_pairs: FrozenSet[fusion.Pair] = frozenset(fuse_pairs or ())
-        #: fully-retired fused executions per mnemonic chain (the
-        #: bench's hit counts); flushed from per-handler cells when the
-        #: fused run loop exits.
-        self.fusion_hits: Counter = Counter()
-        # Per-handler (chain, cell) hit registry -- the hot path bumps
-        # a plain int cell instead of hashing a tuple per retirement.
-        self._fusion_cells: List = []
-        # Fusion dispatch cache: pc -> fused run handler (chain of hot
-        # pairs) or the plain predecoded closure (fusion declined);
-        # pc -> end of the *run's* byte span for store invalidation.
-        self._fused: Dict[int, Callable[[], Optional[int]]] = {}
-        self._fused_end: Dict[int, int] = {}
-        # Widest fused span installed so far, bounding how far below a
-        # store a surviving head pc can sit.
-        self._fused_span = 1
         # Text-region bounds of the loaded image; stores overlapping
         # [lo, hi) must invalidate predecoded slots.
         self._text_lo = 0
@@ -188,26 +162,12 @@ class Simulator:
             if end is not None and end > address:
                 del ends[pc]
                 del decoded[pc]
-        if self._fused_end:
-            # A fused run spans up to _fused_span bytes, so its head pc
-            # can sit up to span-1 bytes below the store.  Dropping the
-            # slot (even a declined-fusion marker) forces a fresh
-            # decode-and-fuse attempt over the rewritten bytes -- and
-            # trips the in-flight run's own slot guard if the store came
-            # from inside it.
-            fends = self._fused_end
-            fused = self._fused
-            for pc in range(address - self._fused_span + 1, address + length):
-                end = fends.get(pc)
-                if end is not None and end > address:
-                    del fends[pc]
-                    del fused[pc]
 
     def write_word(self, address: int, value: int) -> None:
         self._check(address, 4)
         self._check_aligned(address, 4)
         if (
-            (self._decoded or self._fused)
+            self._decoded
             and address < self._text_hi
             and address + 4 > self._text_lo
         ):
@@ -224,7 +184,7 @@ class Simulator:
         self._check(address, 2)
         self._check_aligned(address, 2)
         if (
-            (self._decoded or self._fused)
+            self._decoded
             and address < self._text_hi
             and address + 2 > self._text_lo
         ):
@@ -238,7 +198,7 @@ class Simulator:
     def write_byte(self, address: int, value: int) -> None:
         self._check(address, 1)
         if (
-            (self._decoded or self._fused)
+            self._decoded
             and self._text_lo <= address < self._text_hi
         ):
             self._invalidate(address, 1)
@@ -252,10 +212,6 @@ class Simulator:
         # before the relocation writes below touch the text region.
         self._decoded.clear()
         self._decoded_end.clear()
-        self._fused.clear()
-        self._fused_end.clear()
-        self._fusion_cells.clear()
-        self._fused_span = 1
         self._text_lo = 0
         self._text_hi = 0
         area = runtime.build_runtime_area()
@@ -300,8 +256,6 @@ class Simulator:
     # ---- execution ------------------------------------------------------------------
 
     def run(self, max_steps: int = 2_000_000) -> SimResult:
-        if self.fuse_pairs:
-            return self._run_fused(max_steps)
         if self.predecode:
             return self._run_predecoded(max_steps)
         steps = 0
@@ -344,115 +298,6 @@ class Simulator:
             trap=self._trap,
             instruction_counts=dict(self._counts),
         )
-
-    def _run_fused(self, max_steps: int) -> SimResult:
-        """The fusion lane: predecoded dispatch plus superinstructions.
-
-        One unified dispatch cache: a pc heading a chain of configured
-        hot pairs maps to a fused run handler (returns the number of
-        instructions retired, up to :data:`fusion.MAX_RUN`); any other
-        pc maps to its ordinary predecoded closure (returns ``None``,
-        counted as 1 via ``or 1``), so the per-iteration cost matches
-        :meth:`_run_predecoded` and every fused dispatch saves up to
-        ``MAX_RUN - 1`` full loop iterations.  Within ``MAX_RUN`` of
-        the step limit the loop drops to an exact single-step tail, so
-        the step-limit trap fires at exactly the same instruction (and
-        with the same PSW) as the unfused lanes.
-        """
-        dispatch = self._fused
-        fuse = self._fuse
-        fast_limit = max_steps - fusion.MAX_RUN + 1
-        steps = 0
-        try:
-            while not self._halted and self._trap is None:
-                if steps >= fast_limit:
-                    break
-                pc = self.pc
-                handler = dispatch.get(pc)
-                if handler is None:
-                    handler = fuse(pc)
-                steps += handler() or 1
-            # Exact tail: single-step the last MAX_RUN-1 allowed steps.
-            decoded = self._decoded
-            while not self._halted and self._trap is None:
-                if steps >= max_steps:
-                    raise self._fault(
-                        StepLimitError,
-                        f"exceeded {max_steps} steps (runaway program?)",
-                    )
-                single = decoded.get(self.pc)
-                if single is None:
-                    single = self._decode(self.pc)
-                single()
-                steps += 1
-        finally:
-            # Keep fusion_hits accurate even when a component faulted.
-            self._flush_fusion_hits()
-        return SimResult(
-            output="".join(self._output),
-            steps=steps,
-            halted=self._halted,
-            trap=self._trap,
-            instruction_counts=dict(self._counts),
-        )
-
-    def _flush_fusion_hits(self) -> None:
-        """Fold the per-handler hit cells into ``fusion_hits``."""
-        hits = self.fusion_hits
-        for chain, cell in self._fusion_cells:
-            n = cell[0]
-            if n:
-                hits[chain] += n
-                cell[0] = 0
-
-    def _fuse(self, pc: int) -> Callable[[], Optional[int]]:
-        """Fill the fusion dispatch slot for the instruction at ``pc``.
-
-        Greedily chains overlapping configured hot pairs starting at
-        ``pc`` into a run of up to :data:`fusion.MAX_RUN` instructions
-        and installs either a superinstruction handler for it or -- if
-        no hot pair starts here -- the instruction's ordinary
-        predecoded closure.  The decision is cached keyed by the run's
-        byte span, so it is made once per (pc, image) -- until a store
-        into that span drops the slot.  Successors are decoded eagerly,
-        which is safe because every guard bails before executing a
-        component that execution would not actually reach; if an eager
-        decode faults (the bytes are data), the chain simply stops and
-        the fault is left to surface at its natural execution point.
-        """
-        decoded = self._decoded
-        first = decoded.get(pc)
-        if first is None:
-            first = self._decode(pc)
-        info = isa.DECODE_TABLE[self.read_byte(pc)]
-        parts = [first]
-        mnemonics = [info.mnemonic]
-        ends = [pc + info.length]
-        fuse_pairs = self.fuse_pairs
-        while len(parts) < fusion.MAX_RUN:
-            cur = ends[-1]
-            try:
-                nxt = decoded.get(cur)
-                if nxt is None:
-                    nxt = self._decode(cur)
-                ninfo = isa.DECODE_TABLE[self.read_byte(cur)]
-            except SimulatorError:
-                break
-            if (mnemonics[-1], ninfo.mnemonic) not in fuse_pairs:
-                break
-            parts.append(nxt)
-            mnemonics.append(ninfo.mnemonic)
-            ends.append(cur + ninfo.length)
-        if len(parts) == 1:
-            handler: Callable[[], Optional[int]] = first
-        else:
-            handler = fusion.fuse_run(self, pc, parts, mnemonics, ends)
-        self._fused[pc] = handler
-        self._fused_end[pc] = ends[-1]
-        span = ends[-1] - pc
-        if span > self._fused_span:
-            self._fused_span = span
-        return handler
 
     def step_fast(self) -> None:
         """Execute one instruction through the predecode cache.

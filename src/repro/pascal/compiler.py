@@ -134,20 +134,12 @@ class CompiledProgram:
         max_steps: int = 2_000_000,
         input_values=None,
         predecode: bool = True,
-        fuse_pairs=None,
         profiler: Optional[PhaseProfiler] = None,
     ) -> SimResult:
-        """Execute on a fresh simulator.
-
-        ``fuse_pairs`` (a set of hot (mnemonic, mnemonic) pairs, e.g.
-        from :func:`repro.machines.s370.fusion.profile_image`) runs the
-        superinstruction lane over the predecode cache; semantics are
-        identical, only dispatch overhead changes.
-        """
+        """Execute on a fresh simulator."""
         prof = profiler if profiler is not None else NULL_PROFILER
         simulator = Simulator(
             input_values=input_values, predecode=predecode,
-            fuse_pairs=fuse_pairs,
         )
         simulator.load_image(self.image())
         with prof.phase("simulate"):
@@ -315,12 +307,6 @@ def compile_program(
             "long_branches": module.long_branches,
             "fallback_routines": [e.routine for e in fallback_events],
             "opt_level": opt_level,
-            "specialized": getattr(generated, "stats", {}).get(
-                "specialized", False
-            ),
-            "specialize_degraded_reason": getattr(
-                generated, "stats", {}
-            ).get("degraded_reason", ""),
             "peephole": peephole_stats,
             "global": global_stats,
             "regalloc": regalloc_stats,

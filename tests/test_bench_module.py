@@ -159,7 +159,7 @@ def _lane(rate_key):
 
 
 def _valid_report():
-    """The smallest report validate_report accepts (schema 5)."""
+    """The smallest report validate_report accepts (schema 6)."""
     return {
         "schema_version": SCHEMA_VERSION,
         "git_rev": "abc1234",
@@ -168,25 +168,16 @@ def _valid_report():
         "codegen": {
             "dense": _lane("tokens_per_s"),
             "compressed": _lane("tokens_per_s"),
-            "legacy_string": _lane("tokens_per_s"),
-            "specialized": _lane("tokens_per_s"),
-            "speedup_dense_vs_legacy": 2.0,
-            "speedup_compressed_vs_legacy": 1.5,
-            "speedup_specialized_vs_compressed": 2.1,
-            "speedup_specialized_vs_legacy": 3.1,
+            "speedup_dense_vs_compressed": 1.3,
             "lanes_identical": True,
         },
         "table_build": {},
         "build_cache": {"warm_automaton_builds": 0},
         "simulator": {
-            "fused": _lane("steps_per_s"),
             "predecoded": _lane("steps_per_s"),
             "legacy": _lane("steps_per_s"),
             "speedup_predecode_vs_legacy": 2.0,
-            "speedup_fused_vs_predecode": 1.2,
             "lanes_identical": True,
-            "fusion": {"hot_pairs": 3, "max_run": 16,
-                       "hits": {"l+a+st": 42}},
         },
         "end_to_end": {
             "phases": {phase: 0.001 for phase in PHASES},
@@ -223,10 +214,18 @@ class TestSchemaValidation:
         report["simulator"]["lanes_identical"] = False
         assert any("lanes_identical" in p for p in validate_report(report))
 
-    def test_missing_specialized_lane_rejected(self):
+    def test_missing_compressed_lane_rejected(self):
         report = _valid_report()
-        del report["codegen"]["specialized"]
-        assert any("specialized" in p for p in validate_report(report))
+        del report["codegen"]["compressed"]
+        assert any("compressed" in p for p in validate_report(report))
+
+    def test_missing_codegen_ratio_rejected(self):
+        report = _valid_report()
+        del report["codegen"]["speedup_dense_vs_compressed"]
+        assert any(
+            "speedup_dense_vs_compressed" in p
+            for p in validate_report(report)
+        )
 
     def test_diverged_codegen_lanes_rejected(self):
         report = _valid_report()
@@ -235,15 +234,10 @@ class TestSchemaValidation:
             "codegen.lanes_identical" in p for p in validate_report(report)
         )
 
-    def test_missing_fused_lane_rejected(self):
+    def test_missing_predecoded_lane_rejected(self):
         report = _valid_report()
-        del report["simulator"]["fused"]
-        assert any("fused" in p for p in validate_report(report))
-
-    def test_missing_fusion_hits_rejected(self):
-        report = _valid_report()
-        del report["simulator"]["fusion"]
-        assert any("fusion.hits" in p for p in validate_report(report))
+        del report["simulator"]["predecoded"]
+        assert any("predecoded" in p for p in validate_report(report))
 
     def test_missing_phase_rejected(self):
         report = _valid_report()

@@ -239,6 +239,32 @@ class TestCachedBuild:
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "override"))
         assert BC.default_cache_dir() == tmp_path / "override"
 
+    def test_cold_then_warm_leaves_only_the_table_artifact(
+        self, monkeypatch, tmp_path
+    ):
+        """One runtime over one artifact: a cold then a warm S/370 build
+        into an empty cache directory leaves exactly the ``CoGGart1``
+        table artifact (no generated code-generator module beside it),
+        and the warm build constructs no automaton or table."""
+        from repro.machines.s370 import spec as s370
+
+        cache_dir = tmp_path / "cache"
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(cache_dir))
+        monkeypatch.delenv("REPRO_BUILD_CACHE", raising=False)
+        text, machine = s370.spec_text(), s370.machine_description()
+        BC.cached_build(text, machine, extra_semops=s370.extra_semops())
+        before = buildstats.snapshot()
+        BC.cached_build(text, machine, extra_semops=s370.extra_semops())
+        after = buildstats.snapshot()
+        assert after["cache_hits"] == before["cache_hits"] + 1
+        assert after["automaton_builds"] == before["automaton_builds"]
+        assert after["table_builds"] == before["table_builds"]
+        artifact = BC.artifact_path(
+            cache_dir, BC.build_fingerprint(text, machine)
+        )
+        assert [p.name for p in cache_dir.rglob("*")] == [artifact.name]
+        assert artifact.read_bytes()[:8] == b"CoGGart1"
+
     def test_bad_table_mode_rejected(self, toy, tmp_path):
         text, machine = toy
         with pytest.raises(TableError):

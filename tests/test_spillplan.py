@@ -451,20 +451,6 @@ class TestPlumbing:
             )
         assert "opt_level" in str(info.value)
 
-    def test_strategy_needs_the_coded_runtime_path(self, pressure):
-        build, tokens, frame = pressure
-        from repro.core.codegen.parser_rt import CodeGenerator
-        from repro.errors import CodeGenError
-
-        legacy = CodeGenerator(
-            build.sdts, build.tables, build.machine, string_lookup=True
-        )
-        with pytest.raises(CodeGenError) as info:
-            legacy.generate(
-                tokens, frame=copy.deepcopy(frame), strategy="liveness"
-            )
-        assert "coded runtime" in str(info.value)
-
 
 class TestChaosRegalloc:
     def test_fact_corruption_degrades_never_miscompiles(self):
