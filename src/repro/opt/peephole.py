@@ -42,13 +42,26 @@ actually fires.  Items covered by a ``SkipSite`` span (the fixed
 or resized.  Unknown mnemonics, calls, supervisor calls and multi-
 register moves are barriers; rewrites never cross a label, branch or
 skip site.
+
+**Cost.**  Three pieces of per-run state keep every fact query cheap,
+so a fixpoint pass costs about the same per instruction on small and
+large buffers.  Window facts are memoized in a dict keyed by ``(opcode,
+operands)`` -- a pure key, since operands and :class:`InstrEffects` are
+frozen, so a rewritten instruction simply looks up its new key.  The
+death facts are indexed per register as sorted ``(index, position)``
+lists, so every death query is a bisection; ``position`` is the fact's
+place in ``CodeBuffer.deaths``, which is rewritten once, in its
+original order, before ``compact()``.  Label positions are mapped once:
+rules never tombstone a label or move an item.  All three live on the
+engine and die with it; nothing is cached across runs.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, insort
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.errors import CodeGenError
 from repro.core.codegen.emitter import (
@@ -126,16 +139,6 @@ def _rr(ops, n):
         return None
     regs = tuple(_reg_of(o) for o in ops[:n])
     return None if any(r is None for r in regs) else regs
-
-
-def _facts(instr: Instr) -> _Facts:
-    """Conservative read/write/clobber facts for one instruction."""
-    if instr.opcode in _BARRIER_OPS or instr.opcode in _WINDOW_OPAQUE:
-        return _BARRIER
-    effects = instr_effects(instr)
-    if effects is None or effects.barrier or effects.flow:
-        return _BARRIER
-    return effects
 
 
 def _rename_reg(instr: Instr, old: int, new: int) -> None:
@@ -235,12 +238,23 @@ class _Engine:
     ):
         self.buffer = buffer
         self.items = buffer.items
-        self.deaths = buffer.deaths  # shared: compact() remaps it later
         self.labels = labels
         self.enabled = enabled
         self.trace = trace
         self.result = PeepholeResult()
         self.protected = self._compute_protected()
+        self.label_pos = {
+            item.label: k
+            for k, item in enumerate(self.items)
+            if isinstance(item, LabelMark)
+        }
+        self._effects: Dict[tuple, _Facts] = {}
+        # reg -> sorted (index, position in buffer.deaths) death facts.
+        self._deaths: Dict[int, List[Tuple[int, int]]] = {}
+        for pos, (d, r) in enumerate(buffer.deaths):
+            self._deaths.setdefault(r, []).append((d, pos))
+        for deaths in self._deaths.values():
+            deaths.sort()
 
     # ---- bookkeeping ------------------------------------------------------
 
@@ -271,32 +285,57 @@ class _Engine:
                 )
             )
 
+    def _facts(self, instr: Instr) -> _Facts:
+        """Conservative read/write/clobber facts for one instruction."""
+        key = (instr.opcode, instr.operands)
+        facts = self._effects.get(key)
+        if facts is None:
+            facts = _BARRIER
+            if instr.opcode not in _BARRIER_OPS \
+                    and instr.opcode not in _WINDOW_OPAQUE:
+                effects = instr_effects(instr)
+                if effects is not None and not effects.barrier \
+                        and not effects.flow:
+                    facts = effects
+            self._effects[key] = facts
+        return facts
+
     # Death facts: (d, r) means no item at index >= d reads r until r is
-    # next defined.
+    # next defined.  Index lists are sorted, so ``(i,)`` bisects to the
+    # first fact at index >= i.
 
     def _first_death_after(self, reg: int, idx: int) -> Optional[int]:
-        best = None
-        for d, r in self.deaths:
-            if r == reg and d > idx and (best is None or d < best):
-                best = d
-        return best
+        deaths = self._deaths.get(reg, ())
+        k = bisect_left(deaths, (idx + 1,))
+        return deaths[k][0] if k < len(deaths) else None
 
     def _death_in(self, reg: int, lo: int, hi: int) -> bool:
         """A death of ``reg`` with lo < index <= hi?"""
-        return any(r == reg and lo < d <= hi for d, r in self.deaths)
+        death = self._first_death_after(reg, lo)
+        return death is not None and death <= hi
 
     def _remove_deaths(self, reg: int, lo: int, hi: int) -> None:
-        self.deaths[:] = [
-            (d, r)
-            for d, r in self.deaths
-            if not (r == reg and lo < d <= hi)
-        ]
+        deaths = self._deaths.get(reg)
+        if deaths:
+            del deaths[bisect_left(deaths, (lo + 1,)):
+                       bisect_left(deaths, (hi + 1,))]
 
     def _move_death(self, idx: int, old: int, new: int) -> None:
-        for pos, (d, r) in enumerate(self.deaths):
-            if d == idx and r == old:
-                self.deaths[pos] = (d, new)
-                return
+        """Re-register the earliest-recorded ``(idx, old)`` fact as
+        ``(idx, new)``, keeping its place in ``buffer.deaths``."""
+        deaths = self._deaths.get(old, ())
+        k = bisect_left(deaths, (idx,))
+        if k < len(deaths) and deaths[k][0] == idx:
+            insort(self._deaths.setdefault(new, []), deaths.pop(k))
+
+    def write_back_deaths(self) -> None:
+        """Store the surviving death facts into ``buffer.deaths``."""
+        merged = sorted(
+            (pos, d, r)
+            for r, deaths in self._deaths.items()
+            for d, pos in deaths
+        )
+        self.buffer.deaths[:] = [(d, r) for _, d, r in merged]
 
     # ---- scanning helpers -------------------------------------------------
 
@@ -324,11 +363,6 @@ class _Engine:
         real conditional branch or skip reads the CC; calls, barriers
         and in-stream data assume the worst.
         """
-        label_pos = {
-            item.label: k
-            for k, item in enumerate(self.items)
-            if isinstance(item, LabelMark)
-        }
         visited: Set[int] = set()
         j = idx + 1
         while j < len(self.items):
@@ -347,7 +381,7 @@ class _Engine:
                     j += 1  # never taken: pure fall-through
                     continue
                 if item.cond == _COND_ALWAYS:
-                    target = label_pos.get(item.label)
+                    target = self.label_pos.get(item.label)
                     if target is None:
                         return False
                     j = target
@@ -360,7 +394,7 @@ class _Engine:
                 return False
             if not isinstance(item, Instr):
                 return False  # data in the stream: assume the worst
-            facts = _facts(item)
+            facts = self._facts(item)
             if facts.barrier:
                 return False
             if facts.sets_cc:
@@ -378,7 +412,7 @@ class _Engine:
                 continue
             if _is_flow(item):
                 return False
-            facts = _facts(item)
+            facts = self._facts(item)
             if facts.barrier:
                 return False
             if reg in facts.uses or reg in facts.defs:
@@ -427,7 +461,7 @@ class _Engine:
             if _is_flow(item):
                 return None, None
             steps += 1
-            facts = _facts(item)
+            facts = self._facts(item)
             if facts.barrier:
                 return None, None
             if isinstance(item, Instr) and item.opcode == "l" \
@@ -475,7 +509,7 @@ class _Engine:
                 continue
             if _is_flow(item):
                 return False
-            facts = _facts(item)
+            facts = self._facts(item)
             if facts.barrier:
                 return False
             if r1 in facts.defs or r1 in facts.uses:
@@ -651,7 +685,7 @@ class _Engine:
             if _is_flow(item):
                 return None
             steps += 1
-            facts = _facts(item)
+            facts = self._facts(item)
             if isinstance(item, Instr) and item.opcode == opcode \
                     and reg in facts.uses:
                 return j
@@ -734,7 +768,7 @@ class _Engine:
                 continue
             if _is_flow(item):
                 return False
-            facts = _facts(item)
+            facts = self._facts(item)
             if facts.barrier:
                 return False
             if reg in facts.defs:
@@ -754,15 +788,10 @@ class _Engine:
     def _rule_branch_chain(self) -> bool:
         changed = False
         items = self.items
-        label_pos = {
-            item.label: idx
-            for idx, item in enumerate(items)
-            if isinstance(item, LabelMark)
-        }
         for idx, site in enumerate(items):
             if not isinstance(site, BranchSite) or site.link_reg is not None:
                 continue
-            mark_idx = label_pos.get(site.label)
+            mark_idx = self.label_pos.get(site.label)
             if mark_idx is None:
                 continue
             j, nxt = self._next_real(mark_idx, skip_labels=True)
@@ -819,7 +848,7 @@ class _Engine:
         for i, item in enumerate(self.items):
             if not isinstance(item, Instr):
                 continue
-            facts = _facts(item)
+            facts = self._facts(item)
             cc_only = facts.cc_only
             if not cc_only and item.opcode == "ltr":
                 regs = _rr(item.operands, 2)
@@ -863,5 +892,6 @@ def run_peephole(
         for rule in ALL_RULES:
             if rule in enabled and engine.run_rule(rule):
                 changed = True
+    engine.write_back_deaths()
     generated.buffer.compact()
     return engine.result
