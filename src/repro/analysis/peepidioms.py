@@ -1,4 +1,4 @@
-"""Peephole-foreseeable templates (``SL040``).
+"""Peephole-foreseeable and no-op templates (``SL040``).
 
 The post-selection peephole pass (:mod:`repro.opt.peephole`) exists to
 clean the seams *between* reductions; a template sequence the peephole
@@ -8,9 +8,10 @@ should express the improved sequence directly (the paper's section 5
 position: idioms belong in the grammar when the grammar can see them).
 
 This pass flags, per production, template sequences every -O1 compile
-rewrites unconditionally:
+rewrites unconditionally, and one sequence no rule removes at all:
 
-* ``LR x,x`` -- a self-move; the ``self_move`` rule deletes it on sight;
+* ``LR x,x`` -- a self-move; no peephole rule deletes it, so every
+  execution pays for a no-op and only this check keeps it out of a spec;
 * ``ST r,m`` directly followed by ``L r',m`` (textually identical
   storage operand) -- the ``store_load`` rule forwards through the
   stored register and deletes the load;
@@ -51,12 +52,15 @@ def _storage_operand(tmpl: TemplateAST) -> Optional[str]:
 def _diag(
     prod: Production, tmpl: TemplateAST, rule: str, message: str
 ) -> Diagnostic:
+    if rule == "none":
+        why = "no peephole rule removes it; delete the template"
+    else:
+        why = (f"peephole rule `{rule}` rewrites this on every -O1 "
+               f"compile; fold the improvement into the template")
     return Diagnostic(
         code="SL040",
         severity="warning",
-        message=f"in `{prod}`: {message} (peephole rule `{rule}` "
-                f"rewrites this on every -O1 compile; fold the "
-                f"improvement into the template)",
+        message=f"in `{prod}`: {message} ({why})",
         line=tmpl.line,
         data={
             "pid": prod.pid,
@@ -80,7 +84,7 @@ def _check_production(
                 and str(tmpl.operands[0]) == str(tmpl.operands[1]):
             out.append(
                 _diag(
-                    prod, tmpl, "self_move",
+                    prod, tmpl, "none",
                     f"template `{tmpl}` moves a register onto itself",
                 )
             )

@@ -3,8 +3,8 @@
 The table-driven code generator emits locally-optimal code per
 production; what it cannot see is the seam *between* reductions --
 a value stored by one statement and immediately reloaded by the next,
-a branch whose target is another branch, a constant materialization
-feeding a single add.  Bird's paper closes part of this gap with idiom
+a branch whose target is another branch, a zero loaded with ``LA``
+where the condition code is free for ``SR``.  Bird's paper closes part of this gap with idiom
 productions in the grammar (section 5); the peephole pass here covers
 the rest, the pairing Hjort Blindell's survey calls the standard
 table-driven design.

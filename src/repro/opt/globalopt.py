@@ -68,6 +68,7 @@ from repro.core.codegen.emitter import (
 )
 from repro.opt import dataflow as D
 from repro.opt.cfg import Cfg, build_cfg, item_effects
+from repro.opt.peephole import RewriteEvent
 
 _COND_ALWAYS = 15
 _MAX_ITERATIONS = 4
@@ -94,24 +95,11 @@ _TRAP_OPS = frozenset({"d", "dr", "divt"})
 
 
 @dataclass
-class GlobalEvent:
-    """One applied global rewrite (collected in trace mode)."""
-
-    rule: str
-    index: int
-    before: str
-    after: str
-
-    def render(self) -> str:
-        return f"[{self.rule}] @{self.index}: {self.before} -> {self.after}"
-
-
-@dataclass
 class GlobalResult:
     """Per-pass hit counts, iteration count and the degradation state."""
 
     hits: Counter = field(default_factory=Counter)
-    events: List[GlobalEvent] = field(default_factory=list)
+    events: List[RewriteEvent] = field(default_factory=list)
     iterations: int = 0
     degraded_reason: str = ""
     #: -O4 only: routines with a non-barrier summary / call sites whose
@@ -163,7 +151,7 @@ class _Global:
             from repro.core.codegen.parser_rt import _render_item
 
             self.result.events.append(
-                GlobalEvent(
+                RewriteEvent(
                     name,
                     index,
                     _render_item(before).strip(),
@@ -330,10 +318,12 @@ class _Global:
 
     def _pass_dead_cc(self, cfg: Cfg) -> int:
         """Liveness-driven deletion: compares/tests whose condition code
-        is dead over every successor path (``g_dead_cc``, subsuming the
-        window pass's ``dead_cc_test``), and instructions every result
-        register of which is dead (``g_dead_def`` -- classic global DCE,
-        excluding anything that can trap or touch memory)."""
+        is dead over every successor path (``g_dead_cc``; the window
+        pass has no such rule, since the grammar emits no unread test
+        and only this lane deletes conditional branches), and
+        instructions every result register of which is dead
+        (``g_dead_def`` -- classic global DCE, excluding anything that
+        can trap or touch memory)."""
         live = D.liveness(cfg, self.nregs)
         live.solution.verify()
         changed = 0

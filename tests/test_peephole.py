@@ -169,19 +169,6 @@ class TestLoadLoad:
         assert run_peephole(code, rules=["load_load"]).total == 0
 
 
-class TestSelfMove:
-    def test_deleted(self):
-        code = make_code([Instr("lr", (R(3), R(3)))])
-        result = run_peephole(code, rules=["self_move"])
-        assert result.hits["self_move"] == 1
-        assert ops(code) == []
-
-    def test_no_fire_on_real_move(self):
-        code = make_code([Instr("lr", (R(3), R(4)))])
-        assert run_peephole(code, rules=["self_move"]).total == 0
-        assert ops(code) == ["lr"]
-
-
 class TestZeroClear:
     def test_la_zero_becomes_sr(self):
         code = make_code([Instr("la", (R(5), Mem(0, 0, 0)))])
@@ -201,63 +188,58 @@ class TestZeroClear:
         assert run_peephole(code, rules=["zero_clear"]).total == 0
         assert ops(code) == ["c", "la", "branch", "L1"]
 
+    # The CC-liveness scan (SR sets the condition code, LA does not).
 
-class TestMultPow2:
-    def test_pair_multiply_becomes_shift(self):
-        code = make_code(
-            [Instr("la", (R(3), Mem(8, 0, 0))), Instr("mr", (R(6), R(3)))],
-            deaths=[(2, 3), (2, 6)],
-        )
-        result = run_peephole(code, rules=["mult_pow2"])
-        assert result.hits["mult_pow2"] == 1
-        [instr] = code.buffer.items
-        assert (instr.opcode, instr.operands) == ("sla", (R(7), Imm(3)))
+    def test_fires_across_label_when_join_overwrites(self):
+        # Whichever path reaches the join, a reader past it can only
+        # observe *this* CC when control came from here -- and the join
+        # overwrites the CC before any read.
+        code = make_code([
+            Instr("la", (R(5), Mem(0, 0, 0))),
+            LabelMark(4),
+            Instr("ar", (R(2), R(3))),  # sets the CC at the join
+        ])
+        result = run_peephole(code, rules=["zero_clear"])
+        assert result.hits["zero_clear"] == 1
+        assert ops(code) == ["sr", "L4", "ar"]
 
-    def test_no_fire_on_non_power_of_two(self):
-        code = make_code(
-            [Instr("la", (R(3), Mem(6, 0, 0))), Instr("mr", (R(6), R(3)))],
-            deaths=[(2, 3), (2, 6)],
-        )
-        assert run_peephole(code, rules=["mult_pow2"]).total == 0
+    def test_fires_through_unconditional_branch(self):
+        # An unconditional branch has a single successor: the scan
+        # continues at its target, not at the (unexecuted) next item.
+        code = make_code([
+            Instr("la", (R(5), Mem(0, 0, 0))),
+            BranchSite(cond=15, label=7, index_reg=0),
+            BranchSite(cond=8, label=9, index_reg=0),  # never reached
+            LabelMark(7),
+            Instr("sr", (R(6), R(6))),  # overwrites the CC at the target
+            LabelMark(9),
+        ])
+        result = run_peephole(code, rules=["zero_clear"])
+        assert result.hits["zero_clear"] == 1
+        assert ops(code) == ["sr", "branch", "branch", "L7", "sr", "L9"]
 
-    def test_no_fire_when_high_word_is_read(self):
-        # No death fact for the even register: the high word may be read.
-        code = make_code(
-            [Instr("la", (R(3), Mem(8, 0, 0))), Instr("mr", (R(6), R(3)))],
-            deaths=[(2, 3)],
-        )
-        assert run_peephole(code, rules=["mult_pow2"]).total == 0
+    def test_no_fire_through_branch_when_target_reads(self):
+        code = make_code([
+            Instr("la", (R(5), Mem(0, 0, 0))),
+            BranchSite(cond=15, label=7, index_reg=0),
+            LabelMark(7),
+            BranchSite(cond=8, label=9, index_reg=0),  # reads the CC
+            LabelMark(9),
+        ])
+        assert run_peephole(code, rules=["zero_clear"]).total == 0
+        assert ops(code) == ["la", "branch", "L7", "branch", "L9"]
 
-
-class TestAddImmLa:
-    def test_folds_into_addressing_la(self):
-        code = make_code(
-            [
-                Instr("la", (R(3), Mem(4, 0, 0))),
-                Instr("ar", (R(5), R(3))),
-                Instr("l", (R(6), Mem(0, 0, 5))),
-            ],
-            deaths=[(2, 3), (3, 5)],
-        )
-        result = run_peephole(code, rules=["add_imm_la"])
-        assert result.hits["add_imm_la"] == 1
-        assert ops(code) == ["la", "l"]
-        la = code.buffer.items[0]
-        assert (la.opcode, la.operands) == ("la", (R(5), Mem(4, 0, 5)))
-
-    def test_no_fire_when_sum_escapes_addressing(self):
-        # r5 is read as an arithmetic value after the AR: LA's 24-bit
-        # truncation would be observable, so the rule must stay away.
-        code = make_code(
-            [
-                Instr("la", (R(3), Mem(4, 0, 0))),
-                Instr("ar", (R(5), R(3))),
-                Instr("ar", (R(6), R(5))),
-            ],
-            deaths=[(2, 3), (3, 5)],
-        )
-        assert run_peephole(code, rules=["add_imm_la"]).total == 0
-        assert ops(code) == ["la", "ar", "ar"]
+    def test_branch_cycle_without_reader_fires(self):
+        # An unconditional cycle never reads the CC.
+        code = make_code([
+            Instr("la", (R(5), Mem(0, 0, 0))),
+            LabelMark(2),
+            Instr("lr", (R(3), R(4))),
+            BranchSite(cond=15, label=2, index_reg=0),
+        ])
+        result = run_peephole(code, rules=["zero_clear"])
+        assert result.hits["zero_clear"] == 1
+        assert ops(code) == ["sr", "L2", "lr", "branch"]
 
 
 class TestBranchChain:
@@ -305,94 +287,17 @@ class TestFallthroughBranch:
         assert ops(code) == ["c", "branch", "L3"]
 
 
-class TestDeadCcTest:
-    def test_unread_compare_deleted(self):
-        code = make_code([
-            Instr("c", (R(1), MEM)),
-            Instr("lr", (R(2), R(3))),
-        ])
-        result = run_peephole(code, rules=["dead_cc_test"])
-        assert result.hits["dead_cc_test"] == 1
-        assert ops(code) == ["lr"]
-
-    def test_self_ltr_with_overwritten_cc_deleted(self):
-        code = make_code([
-            Instr("ltr", (R(4), R(4))),
-            Instr("ar", (R(1), R(2))),  # sets the CC before any read
-        ])
-        result = run_peephole(code, rules=["dead_cc_test"])
-        assert result.hits["dead_cc_test"] == 1
-        assert ops(code) == ["ar"]
-
-    def test_no_fire_when_branch_reads_cc(self):
-        code = make_code([
-            Instr("c", (R(1), MEM)),
-            BranchSite(cond=8, label=1, index_reg=0),
-            LabelMark(1),
-        ])
-        assert run_peephole(code, rules=["dead_cc_test"]).total == 0
-        assert ops(code) == ["c", "branch", "L1"]
-
-    def test_fires_across_label_when_join_overwrites(self):
-        # Regression: the CC scan used to stop at every label even
-        # though whichever path reaches the join, a reader past it can
-        # only observe *this* CC when control came from here -- and the
-        # join overwrites the CC before any read.
-        code = make_code([
-            Instr("c", (R(1), MEM)),
-            LabelMark(4),
-            Instr("ar", (R(2), R(3))),  # sets the CC at the join
-        ])
-        result = run_peephole(code, rules=["dead_cc_test"])
-        assert result.hits["dead_cc_test"] == 1
-        assert ops(code) == ["L4", "ar"]
-
-    def test_fires_through_unconditional_branch(self):
-        # Regression: the scan used to give up at *every* BranchSite;
-        # an unconditional branch has a single successor, so the scan
-        # now continues at its target.
-        code = make_code([
-            Instr("ltr", (R(4), R(4))),
-            BranchSite(cond=15, label=7, index_reg=0),
-            LabelMark(7),
-            Instr("sr", (R(5), R(5))),  # overwrites the CC at the target
-        ])
-        result = run_peephole(code, rules=["dead_cc_test"])
-        assert result.hits["dead_cc_test"] == 1
-        assert ops(code) == ["branch", "L7", "sr"]
-
-    def test_no_fire_through_branch_when_target_reads(self):
-        code = make_code([
-            Instr("ltr", (R(4), R(4))),
-            BranchSite(cond=15, label=7, index_reg=0),
-            LabelMark(7),
-            BranchSite(cond=8, label=9, index_reg=0),  # reads the CC
-            LabelMark(9),
-        ])
-        assert run_peephole(code, rules=["dead_cc_test"]).total == 0
-
-    def test_branch_cycle_without_reader_fires(self):
-        # An unconditional self-cycle never reads the CC: deletable.
-        code = make_code([
-            Instr("c", (R(1), MEM)),
-            LabelMark(2),
-            Instr("lr", (R(3), R(4))),
-            BranchSite(cond=15, label=2, index_reg=0),
-        ])
-        result = run_peephole(code, rules=["dead_cc_test"])
-        assert result.hits["dead_cc_test"] == 1
-
-
 class TestSkipProtection:
     """Items inside a SkipSite's fixed byte span may not change size."""
 
-    def test_self_move_not_deleted_under_skip(self):
+    def test_duplicate_load_not_deleted_under_skip(self):
         code = make_code([
-            SkipSite(cond=8, halfwords=1, index_reg=0),
-            Instr("lr", (R(3), R(3))),
+            SkipSite(cond=8, halfwords=4, index_reg=0),
+            Instr("l", (R(1), MEM)),
+            Instr("l", (R(1), MEM)),
         ])
-        assert run_peephole(code, rules=["self_move"]).total == 0
-        assert ops(code) == ["skip", "lr"]
+        assert run_peephole(code, rules=["load_load"]).total == 0
+        assert ops(code) == ["skip", "l", "l"]
 
     def test_zero_clear_not_resized_under_skip(self):
         # LA (4 bytes) -> SR (2 bytes) would shrink the skipped window.
@@ -404,16 +309,17 @@ class TestSkipProtection:
         assert code.buffer.items[1].opcode == "la"
 
     def test_same_rewrite_fires_outside_the_span(self):
-        # The protected span is exactly 2*halfwords bytes: the LR after
-        # the covered LA is fair game again.
+        # The protected span is exactly 2*halfwords bytes: the loads
+        # after the covered LA are fair game again.
         code = make_code([
             SkipSite(cond=8, halfwords=2, index_reg=0),
             Instr("la", (R(5), Mem(0, 0, 13))),
-            Instr("lr", (R(3), R(3))),
+            Instr("l", (R(1), MEM)),
+            Instr("l", (R(1), MEM)),
         ])
-        result = run_peephole(code, rules=["self_move"])
-        assert result.hits["self_move"] == 1
-        assert ops(code) == ["skip", "la"]
+        result = run_peephole(code, rules=["load_load"])
+        assert result.hits["load_load"] == 1
+        assert ops(code) == ["skip", "la", "l"]
 
 
 class TestEngine:
@@ -424,14 +330,14 @@ class TestEngine:
 
     def test_disabled_rules_do_not_fire(self):
         code = make_code([
-            Instr("lr", (R(3), R(3))),
+            Instr("la", (R(5), Mem(0, 0, 0))),
             Instr("l", (R(1), MEM)),
             Instr("l", (R(1), MEM)),
         ])
         result = run_peephole(code, rules=["load_load"])
-        assert result.hits["self_move"] == 0
+        assert result.hits["zero_clear"] == 0
         assert result.hits["load_load"] == 1
-        assert ops(code) == ["lr", "l"]
+        assert ops(code) == ["la", "l"]
 
     def test_as_dict_covers_every_rule(self):
         code = make_code([Instr("lr", (R(3), R(3)))])
@@ -443,13 +349,14 @@ class TestEngine:
     def test_compact_remaps_surviving_deaths(self):
         code = make_code(
             [
-                Instr("lr", (R(3), R(3))),  # deleted
+                Instr("l", (R(4), MEM)),
+                Instr("l", (R(4), MEM)),  # deleted
                 Instr("ar", (R(1), R(2))),
             ],
-            deaths=[(2, 1)],
+            deaths=[(3, 1)],
         )
-        run_peephole(code, rules=["self_move"])
-        assert code.buffer.deaths == [(1, 1)]
+        run_peephole(code, rules=["load_load"])
+        assert code.buffer.deaths == [(2, 1)]
 
     def test_rules_compose_to_fixpoint(self):
         # load_load's LR(r2,r2) output... never happens; instead check
@@ -537,8 +444,8 @@ class TestCompilerIntegration:
     def test_rule_subset_via_compiler(self):
         from repro.bench.workloads import chain_loop
 
-        compiled = _compile(chain_loop(10), peephole_rules=["self_move"])
+        compiled = _compile(chain_loop(10), peephole_rules=["load_load"])
         hits = compiled.stats["peephole"]["hits"]
         assert all(
-            count == 0 for rule, count in hits.items() if rule != "self_move"
+            count == 0 for rule, count in hits.items() if rule != "load_load"
         )

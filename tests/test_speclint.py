@@ -71,6 +71,19 @@ class TestFixtures:
         assert main(["lint", str(path), "--fail-on", "info", *extra]) == 1
         capsys.readouterr()
 
+    def test_peepidiom_names_only_live_rules(self, capsys):
+        """SL040 cites a peephole rule that exists, or none at all for a
+        self-move, which no rule removes."""
+        from repro.opt import ALL_RULES
+
+        path = FIXTURES / "peepidiom.spec"
+        main(["lint", str(path), "--json"])
+        report = LintReport.from_json(capsys.readouterr().out)
+        rules = {d.data["template"]: d.data["rule"]
+                 for d in report.diagnostics}
+        assert rules["lr r.1,r.1"] == "none"
+        assert set(rules.values()) - {"none"} <= set(ALL_RULES)
+
 
 class TestShippedSpecs:
     """Acceptance: `lint` reports zero errors on every shipped spec."""
