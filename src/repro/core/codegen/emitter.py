@@ -10,7 +10,7 @@ dictionary").
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Callable, Dict, List, Optional, Tuple, Union
 
 
 @dataclass(frozen=True, slots=True)
@@ -163,12 +163,28 @@ class CodeBuffer:
     sanitizer uses it to trace diagnostics back to the responsible spec
     line.  Sparse: runtime-emitted items (prologues, literal pools)
     carry no origin.
+
+    ``effects_memo`` maps ``(opcode, operands)`` to the target's effects
+    (:meth:`effects_of`), so the peephole, every CFG build and every
+    global rewrite derive each once.  It dies with the buffer.
     """
 
     items: List[BufferItem] = field(default_factory=list)
     _next_anon_label: int = -1
     deaths: List[Tuple[int, int]] = field(default_factory=list)
     origins: Dict[int, str] = field(default_factory=dict)
+    effects_memo: Dict[tuple, object] = field(
+        default_factory=dict, repr=False, compare=False
+    )
+
+    def effects_of(self, instr: Instr, derive: Callable[[Instr], object]):
+        """``derive(instr)``, computed once per ``(opcode, operands)``."""
+        key = (instr.opcode, instr.operands)
+        try:
+            return self.effects_memo[key]
+        except KeyError:
+            effects = self.effects_memo[key] = derive(instr)
+            return effects
 
     def note_death(self, reg: int) -> None:
         """Allocator ``on_free`` target: ``reg`` is dead from here on."""

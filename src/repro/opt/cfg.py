@@ -171,14 +171,15 @@ def compute_skip_spans(
 
 
 def item_effects(
-    item, encoder: Optional[Encoder], in_span: bool
+    item, buffer: CodeBuffer, encoder: Optional[Encoder], in_span: bool
 ) -> ItemEffects:
     """Effects of one buffer item for the dataflow solvers.
 
     ``BranchSite``/``SkipSite`` get synthetic effects (condition-code
     read, index/link register traffic); data items are barriers; an
-    ``Instr`` defers to the encoder's per-mnemonic table, with a missing
-    table entry treated as a barrier rather than guessed.
+    ``Instr`` defers to the encoder's per-mnemonic table through the
+    buffer's effects memo, with a missing table entry treated as a
+    barrier rather than guessed.
 
     A site's ``index_reg`` is a *may-def*, not a use: the loader's long
     form loads the page literal into it first and only then branches
@@ -217,7 +218,10 @@ def item_effects(
     if isinstance(item, (AConSite, DataBlock)):
         return _BARRIER_ITEM
     # An Instr.
-    effects = encoder.effects(item) if encoder is not None else None
+    effects = (
+        buffer.effects_of(item, encoder.effects)
+        if encoder is not None else None
+    )
     if effects is None:
         return ItemEffects(BARRIER_EFFECTS, may=in_span)
     return ItemEffects(effects, may=in_span)
@@ -232,7 +236,7 @@ def build_cfg(
     n = len(items)
     spans = compute_skip_spans(items, encoder)
     effects: List[ItemEffects] = [
-        item_effects(item, encoder, i in spans)
+        item_effects(item, buffer, encoder, i in spans)
         for i, item in enumerate(items)
     ]
 

@@ -22,18 +22,18 @@ barriers assume the worst, and ``exits`` blocks meet the all-live /
 nothing-available boundary.
 
 **Fact integrity.**  Every solved analysis is wrapped in a
-:class:`Solution` and sealed with a canonical digest; clients call
-:meth:`Solution.verify` immediately before acting on the facts and get a
-typed :class:`~repro.errors.DataflowError` if anything changed in
-between.  ``FAULT_HOOK`` is the chaos harness's injection point: when
-set, it may mutate (corrupt/drop) the solution right after solving --
-exactly what verification must catch, so a fault degrades the -O2 pass
-to -O1 output instead of silently rewriting code with bad facts.
+:class:`Solution` and sealed with an exact snapshot of its facts;
+clients call :meth:`Solution.verify` immediately before acting on the
+facts and get a typed :class:`~repro.errors.DataflowError` if anything
+changed in between.  ``FAULT_HOOK`` is the chaos harness's injection
+point: when set, it may mutate (corrupt/drop) the solution right after
+solving -- exactly what verification must catch, so a fault degrades
+the -O2 pass to -O1 output instead of silently rewriting code with bad
+facts.
 """
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass, field
 from typing import (
     Callable, Dict, FrozenSet, Iterable, List, Optional, Set, Tuple,
@@ -59,36 +59,47 @@ FAULT_HOOK: Optional[Callable[["Solution"], None]] = None
 # ---------------------------------------------------------------------------
 
 
-def _canon(value) -> object:
-    """A deterministic, order-independent shape of a fact structure."""
-    if isinstance(value, (frozenset, set)):
-        return ("set",) + tuple(sorted((repr(_canon(v)) for v in value)))
-    if isinstance(value, dict):
-        return ("dict",) + tuple(
-            sorted((repr(_canon(k)), repr(_canon(v)))
-                   for k, v in value.items())
+def snapshot(name: str, facts: Dict) -> Dict:
+    """A shallow copy of one fact table for :func:`check_seal`.  Values
+    must be immutable, or a change made in place would go unseen."""
+    for value in facts.values():
+        if isinstance(value, (set, dict, list)):
+            raise DataflowError(
+                f"{name}: cannot seal a mutable {type(value).__name__} "
+                "fact", analysis=name,
+            )
+    return dict(facts)
+
+
+def check_seal(name: str, digest: str, sealed, live) -> None:
+    """Raise :class:`DataflowError` unless ``live`` equals the ``sealed``
+    snapshot, and a seal exists at all (clearing ``digest`` unseals).
+    Fact values are immutable, so ``==`` is exact and costs one
+    identity check per entry."""
+    if not digest or sealed is None:
+        raise DataflowError(f"{name}: facts were never sealed", analysis=name)
+    if live != sealed:
+        raise DataflowError(
+            f"{name}: facts failed their integrity check", analysis=name
         )
-    if isinstance(value, (list, tuple)):
-        return ("seq",) + tuple(repr(_canon(v)) for v in value)
-    return value
-
-
-def _digest(name: str, ins: Dict, outs: Dict) -> str:
-    payload = repr((name, _canon(ins), _canon(outs))).encode()
-    return hashlib.blake2b(payload, digest_size=16).hexdigest()
 
 
 @dataclass
 class Solution:
-    """A solved analysis: per-block in/out facts plus an integrity seal."""
+    """A solved analysis: per-block in/out facts plus an integrity seal,
+    an exact snapshot of both tables."""
 
     name: str
     ins: Dict[int, object]
     outs: Dict[int, object]
     digest: str = ""
+    _sealed: Optional[tuple] = field(default=None, repr=False, compare=False)
 
     def seal(self) -> "Solution":
-        self.digest = _digest(self.name, self.ins, self.outs)
+        self._sealed = (
+            snapshot(self.name, self.ins), snapshot(self.name, self.outs)
+        )
+        self.digest = "snapshot"
         if FAULT_HOOK is not None:
             FAULT_HOOK(self)
         return self
@@ -96,15 +107,7 @@ class Solution:
     def verify(self) -> "Solution":
         """Raise :class:`DataflowError` unless the facts still match the
         seal (and a seal exists at all)."""
-        if not self.digest:
-            raise DataflowError(
-                f"{self.name}: facts were never sealed", analysis=self.name
-            )
-        if _digest(self.name, self.ins, self.outs) != self.digest:
-            raise DataflowError(
-                f"{self.name}: facts failed their integrity check",
-                analysis=self.name,
-            )
+        check_seal(self.name, self.digest, self._sealed, (self.ins, self.outs))
         return self
 
 

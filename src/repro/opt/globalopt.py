@@ -165,8 +165,14 @@ class _Global:
         old object: the rollback snapshot shares it)."""
         self.buffer.items[index] = new_item
         cfg.item_effects[index] = item_effects(
-            new_item, self.encoder, index in cfg.skip_spans
+            new_item, self.buffer, self.encoder, index in cfg.skip_spans
         )
+
+    def _drop_deaths(self, regs: Set[int]) -> None:
+        """Forget the deaths of ``regs``, whose lifetimes rewrites just
+        extended (deaths are may-info; no global pass reads them)."""
+        deaths = self.buffer.deaths
+        deaths[:] = [(d, r) for d, r in deaths if r not in regs]
 
     # ---- passes -----------------------------------------------------------
 
@@ -200,6 +206,7 @@ class _Global:
         avail = D.available_stores(cfg)
         avail.solution.verify()
         changed = 0
+        extended: Set[int] = set()
         for block in cfg.blocks:
             if block.bid not in cfg.reachable:
                 continue
@@ -235,13 +242,9 @@ class _Global:
                     )
                     self._record("g_forward_copy", i, item, replacement)
                     self._replace(cfg, i, replacement)
-                    # The source register's lifetime just grew past any
-                    # recorded death: drop its death facts (may-info).
-                    self.buffer.deaths[:] = [
-                        (d, r) for d, r in self.buffer.deaths
-                        if r != source
-                    ]
+                    extended.add(source)
                 changed += 1
+        self._drop_deaths(extended)
         return changed
 
     def _pass_copy_elim(self, cfg: Cfg) -> int:
@@ -401,6 +404,7 @@ class _Global:
         avail = D.available_exprs(cfg, self.expr_ops)
         avail.solution.verify()
         changed = 0
+        extended: Set[int] = set()
         for block in cfg.blocks:
             if block.bid not in cfg.reachable:
                 continue
@@ -433,13 +437,9 @@ class _Global:
                     )
                     self._record("g_cse_copy", i, item, replacement)
                     self._replace(cfg, i, replacement)
-                    # The source register now feeds a later consumer:
-                    # any recorded death is stale (may-info, drop it).
-                    self.buffer.deaths[:] = [
-                        (d, r) for d, r in self.buffer.deaths
-                        if r != source
-                    ]
+                    extended.add(source)
                 changed += 1
+        self._drop_deaths(extended)
         return changed
 
     def _labels_between(self, lo: int, hi: int) -> Optional[Set[int]]:

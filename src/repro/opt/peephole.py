@@ -38,17 +38,19 @@ or resized.  Unknown mnemonics, calls, supervisor calls and multi-
 register moves are barriers; rewrites never cross a label, branch or
 skip site.
 
-**Cost.**  Three pieces of per-run state keep every fact query cheap,
-so a fixpoint pass costs about the same per instruction on small and
-large buffers.  Window facts are memoized in a dict keyed by ``(opcode,
-operands)`` -- a pure key, since operands and :class:`InstrEffects` are
-frozen, so a rewritten instruction simply looks up its new key.  The
-death facts are indexed per register as sorted ``(index, position)``
-lists, so every death query is a bisection; ``position`` is the fact's
-place in ``CodeBuffer.deaths``, which is rewritten once, in its
-original order, before ``compact()``.  Label positions are mapped once:
-rules never tombstone a label or move an item.  All three live on the
-engine and die with it; nothing is cached across runs.
+**Cost.**  Every fact query is cheap, so a fixpoint pass costs about
+the same per instruction on small and large buffers.  Window facts come
+from the buffer's effects memo (``CodeBuffer.effects_of``), keyed by
+``(opcode, operands)`` -- a pure key, since operands and
+:class:`InstrEffects` are frozen, so a rewritten instruction simply
+looks up its new key -- and the barrier clamp is applied on top.  The
+memo is shared with the CFG builds of the -O2..-O4 passes and dies
+with the buffer.  The death facts are indexed per register as sorted
+``(index, position)`` lists, so every death query is a bisection;
+``position`` is the fact's place in ``CodeBuffer.deaths``, which is
+rewritten once, in its original order, before ``compact()``.  Label
+positions are mapped once: rules never tombstone a label or move an
+item.  Both indexes live on the engine and die with it.
 """
 
 from __future__ import annotations
@@ -214,7 +216,6 @@ class _Engine:
             for k, item in enumerate(self.items)
             if isinstance(item, LabelMark)
         }
-        self._effects: Dict[tuple, InstrEffects] = {}
         # reg -> sorted (index, position in buffer.deaths) death facts.
         self._deaths: Dict[int, List[Tuple[int, int]]] = {}
         for pos, (d, r) in enumerate(buffer.deaths):
@@ -252,18 +253,14 @@ class _Engine:
             )
 
     def _facts(self, instr: Instr) -> InstrEffects:
-        """Conservative read/write/clobber facts for one instruction."""
-        key = (instr.opcode, instr.operands)
-        facts = self._effects.get(key)
-        if facts is None:
-            facts = BARRIER_EFFECTS
-            if instr.opcode not in _BARRIER_OPS:
-                effects = instr_effects(instr)
-                if effects is not None and not effects.barrier \
-                        and not effects.flow:
-                    facts = effects
-            self._effects[key] = facts
-        return facts
+        """Conservative read/write/clobber facts for one instruction:
+        the buffer's shared effects, clamped to the barrier discipline."""
+        if instr.opcode in _BARRIER_OPS:
+            return BARRIER_EFFECTS
+        effects = self.buffer.effects_of(instr, instr_effects)
+        if effects is None or effects.barrier or effects.flow:
+            return BARRIER_EFFECTS
+        return effects
 
     # Death facts: (d, r) means no item at index >= d reads r until r is
     # next defined.  Index lists are sorted, so ``(i,)`` bisects to the

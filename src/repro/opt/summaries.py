@@ -34,8 +34,8 @@ Soundness rules, in the order they bite:
   dead across the call and the callee observes nothing) or the summary
   assumes the worst.
 
-**Fact integrity.**  A solved :class:`SummarySet` is digest-sealed like
-every dataflow :class:`~repro.opt.dataflow.Solution`;
+**Fact integrity.**  A solved :class:`SummarySet` carries an exact
+snapshot seal like every dataflow :class:`~repro.opt.dataflow.Solution`;
 :func:`apply_summaries` re-verifies the seal immediately before
 rewriting any call-site record and raises a typed
 :class:`~repro.errors.DataflowError` on mismatch -- the -O4 clients then
@@ -51,14 +51,13 @@ from typing import (
     Callable, Dict, FrozenSet, List, Optional, Set, Tuple,
 )
 
-from repro.errors import DataflowError
 from repro.core.codegen.emitter import (
     BranchSite, Instr, LabelMark, Mem, StmtMark,
 )
 from repro.core.effects import FLOW_CALL, InstrEffects, Loc
 from repro.core.machine import Encoder, LinkageInfo
 from repro.opt.cfg import Cfg, ItemEffects
-from repro.opt.dataflow import _digest
+from repro.opt.dataflow import check_seal, snapshot
 
 #: chaos injection point: ``FAULT_HOOK(summary_set)`` runs right after
 #: the set is sealed; ``None`` outside chaos campaigns.
@@ -89,16 +88,6 @@ class RoutineSummary:
     reads_cc: bool = True
     calls: Tuple[int, ...] = ()
 
-    def canon(self) -> tuple:
-        return (
-            self.label, self.barrier, self.reason,
-            frozenset(self.clobbers), frozenset(self.preserved),
-            frozenset(self.uses),
-            frozenset(self.reads), frozenset(self.writes),
-            frozenset(self.must_writes),
-            self.sets_cc, self.reads_cc, frozenset(self.calls),
-        )
-
 
 @dataclass
 class SummarySet:
@@ -106,32 +95,17 @@ class SummarySet:
 
     summaries: Dict[int, RoutineSummary] = field(default_factory=dict)
     digest: str = ""
+    _sealed: Optional[dict] = field(default=None, repr=False, compare=False)
 
     def seal(self) -> "SummarySet":
-        self.digest = _digest(
-            "summaries",
-            {label: s.canon() for label, s in self.summaries.items()},
-            {},
-        )
+        self._sealed = snapshot("summaries", self.summaries)
+        self.digest = "snapshot"
         if FAULT_HOOK is not None:
             FAULT_HOOK(self)
         return self
 
     def verify(self) -> "SummarySet":
-        if not self.digest:
-            raise DataflowError(
-                "summaries: facts were never sealed", analysis="summaries"
-            )
-        current = _digest(
-            "summaries",
-            {label: s.canon() for label, s in self.summaries.items()},
-            {},
-        )
-        if current != self.digest:
-            raise DataflowError(
-                "summaries: facts failed their integrity check",
-                analysis="summaries",
-            )
+        check_seal("summaries", self.digest, self._sealed, self.summaries)
         return self
 
     @property

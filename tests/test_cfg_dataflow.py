@@ -3,8 +3,8 @@
 Structure (leaders, edges, skip spans, roots, degradation), each solver
 (liveness, reaching defs, def-use chains, memory deadness, available
 stores, available copies), the may-def modelling of branch index
-registers, fact-integrity seals with the chaos hook, and the
-effect-table coverage contract of both encoders.
+registers, the exact-snapshot fact seal of every solver with the chaos
+hook, and the effect-table coverage contract of both encoders.
 """
 
 import pytest
@@ -30,6 +30,7 @@ from repro.opt.dataflow import (
     CC,
     ENTRY,
     available_copies,
+    available_exprs,
     available_stores,
     def_use_chains,
     liveness,
@@ -43,6 +44,18 @@ ENC = machine_description().encoder
 
 MEM = Mem(100, 0, 13)
 OTHER = Mem(200, 0, 13)
+
+#: Every sealed solver; its ``Solution.name`` is the key with ``-`` for ``_``.
+SOLVERS = {
+    "liveness": liveness,
+    "reaching_defs": reaching_defs,
+    "memory_deadness": memory_deadness,
+    "available_stores": available_stores,
+    "available_exprs": lambda cfg: available_exprs(
+        cfg, ENC.expression_ops()
+    ),
+    "available_copies": available_copies,
+}
 
 
 def buf(items, deaths=()):
@@ -381,6 +394,81 @@ class TestSolutionIntegrity:
         finally:
             DF.FAULT_HOOK = None
         assert calls == ["liveness"]
+
+    # The exact snapshot seal, for every solver.  The fixture is a
+    # diamond with a store, a copy and an expression, so each solver
+    # has non-empty out-facts to damage.
+
+    @staticmethod
+    def _solved(solver):
+        cfg = build_cfg(buf([
+            Instr("st", (R(3), MEM)),
+            Instr("lr", (R(5), R(4))),
+            Instr("ar", (R(6), R(5))),
+            Instr("ltr", (R(1), R(1))),
+            BranchSite(cond=8, label=1, index_reg=0),
+            Instr("l", (R(2), MEM)),
+            LabelMark(1),
+            Instr("ar", (R(2), R(6))),
+        ]), ENC)
+        solution = SOLVERS[solver](cfg).solution
+        assert any(solution.outs.values())
+        return solution
+
+    @staticmethod
+    def _nonempty_block(solution):
+        return next(bid for bid, f in sorted(solution.outs.items()) if f)
+
+    @pytest.mark.parametrize("solver", SOLVERS)
+    def test_mutated_out_fact_fails(self, solver):
+        solution = self._solved(solver)
+        bid = self._nonempty_block(solution)
+        solution.outs[bid] = solution.outs[bid] | {("bogus", 99)}
+        with pytest.raises(DataflowError, match="integrity"):
+            solution.verify()
+
+    @pytest.mark.parametrize("solver", SOLVERS)
+    def test_dropped_outs_fail(self, solver):
+        solution = self._solved(solver)
+        solution.outs.clear()
+        with pytest.raises(DataflowError, match="integrity"):
+            solution.verify()
+
+    @pytest.mark.parametrize("solver", SOLVERS)
+    def test_unsealed_solution_fails(self, solver):
+        solution = self._solved(solver)
+        solution.digest = ""
+        with pytest.raises(DataflowError, match="never sealed"):
+            solution.verify()
+
+    @pytest.mark.parametrize("solver", SOLVERS)
+    def test_equal_copy_passes(self, solver):
+        solution = self._solved(solver)
+        bid = self._nonempty_block(solution)
+        copy = frozenset(list(solution.outs[bid]))
+        assert copy is not solution.outs[bid]
+        solution.outs[bid] = copy
+        solution.ins = dict(solution.ins)
+        solution.verify()
+
+    @pytest.mark.parametrize("solver", SOLVERS)
+    @pytest.mark.parametrize("mutable", [set, list, dict.fromkeys])
+    def test_mutable_fact_cannot_be_sealed(self, solver, mutable):
+        solution = self._solved(solver)
+        bid = self._nonempty_block(solution)
+        solution.outs[bid] = mutable(solution.outs[bid])
+        with pytest.raises(DataflowError, match="mutable"):
+            solution.seal()
+
+    @pytest.mark.parametrize("solver", SOLVERS)
+    def test_fault_hook_sees_every_solver(self, solver):
+        calls = []
+        DF.FAULT_HOOK = lambda s: calls.append(s.name)
+        try:
+            self._solved(solver)
+        finally:
+            DF.FAULT_HOOK = None
+        assert calls == [solver.replace("_", "-")]
 
 
 class TestEffectCoverage:

@@ -5,16 +5,23 @@ index lists and writes the surviving facts back to ``CodeBuffer.deaths``
 once.  The property test drives random query/update sequences through
 the engine and through a brute-force scan of a plain list (the
 reference kept here), which must agree on every answer and on the final
-list, order included.  The scaling gate counts ``instr_effects`` calls:
-one peephole run may compute each instruction's effects at most once.
+list, order included.  The count gates replace ``instr_effects`` at
+every binding, so they see each real evaluation behind the buffer's
+effects memo: one peephole run computes each instruction's effects at
+most once, and one -O4 compile evaluates each ``(opcode, operands)``
+key at most once per buffer.
 """
+
+import sys
+from collections import Counter
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from repro.bench.workloads import straightline
+from repro.bench.workloads import call_heavy, straightline
 from repro.core.codegen.emitter import CodeBuffer, Instr
 from repro.core.codegen.labels import LabelDictionary
+from repro.machines.s370 import effects as s370_effects
 from repro.opt import peephole
 from repro.opt.peephole import ALL_RULES, _Engine
 from repro.pascal import compile_source
@@ -92,17 +99,30 @@ def test_death_index_matches_list_scan(deaths, data):
     assert buffer.deaths == reference.deaths
 
 
+def _count_effects(monkeypatch):
+    """Count every real effects evaluation: ``instr_effects`` is replaced
+    at every module binding it, so the memo's miss path is counted
+    whichever binding it calls.  Returns the evaluated keys."""
+    original = s370_effects.instr_effects
+    keys = []
+
+    def counting_effects(instr):
+        keys.append((instr.opcode, instr.operands))
+        return original(instr)
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "repro" \
+                and getattr(module, "instr_effects", None) is original:
+            monkeypatch.setattr(module, "instr_effects", counting_effects)
+    return keys
+
+
 @pytest.mark.parametrize("assignments", [250, 1000])
 def test_effects_computed_at_most_once_per_instruction(
         monkeypatch, assignments):
-    calls = []
+    calls = _count_effects(monkeypatch)
     runs = []
-    effects = peephole.instr_effects
     run = peephole.run_peephole
-
-    def counting_effects(instr):
-        calls.append(instr)
-        return effects(instr)
 
     def measured_run(generated, *args, **kwargs):
         entering = sum(
@@ -113,9 +133,28 @@ def test_effects_computed_at_most_once_per_instruction(
         runs.append((entering, len(calls)))
         return result
 
-    monkeypatch.setattr(peephole, "instr_effects", counting_effects)
     monkeypatch.setattr(peephole, "run_peephole", measured_run)
     compile_source(straightline(assignments), opt_level=1)
     assert len(runs) == 1
     entering, effects_calls = runs[0]
     assert 0 < effects_calls <= entering
+
+
+def test_effects_derived_once_per_key_per_buffer_at_O4(monkeypatch):
+    """At -O4 the peephole, every CFG build (so every solver, summary
+    and spill-plan probe) and every global rewrite share the buffer's
+    effects memo: no ``(opcode, operands)`` key is evaluated twice for
+    one buffer."""
+    calls = _count_effects(monkeypatch)
+    buffers = []
+    init = CodeBuffer.__init__
+
+    def tracked_init(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        buffers.append(self)
+
+    monkeypatch.setattr(CodeBuffer, "__init__", tracked_init)
+    compile_source(call_heavy(), opt_level=4)
+    assert calls
+    assert max(Counter(calls).values()) <= len(buffers)
+    assert len(calls) <= sum(len(b.effects_memo) for b in buffers)

@@ -4,7 +4,7 @@ call-boundary facts, and spill rematerialization.
 Covers summary computation on real compiled routines (clobbers,
 preserves, upward-exposed uses, linkage must-writes), conservative
 degradation on recursion and synthetic mutual-recursion SCCs, the
-digest seal/verify contract, rematerialization classification (constant
+exact-snapshot seal/verify contract, rematerialization classification (constant
 forms always, register-dependent forms only while their inputs live,
 never across a redefinition), the -O4 differential gate over the bench
 workloads, the schema-tolerant ``--compare`` path, the compiler/service
@@ -204,6 +204,24 @@ class TestSealVerify:
         summary_set.summaries.clear()
         with pytest.raises(DataflowError):
             summary_set.verify()
+
+    def test_equal_copy_accepted(self):
+        summary_set, _ = summaries_of(CALL_PROGRAM)
+        (label,) = summary_set.summaries
+        copy = replace(summary_set.summaries[label])
+        assert copy is not summary_set.summaries[label]
+        summary_set.summaries[label] = copy
+        summary_set.verify()  # equal facts: must not raise
+
+    @pytest.mark.parametrize("mutable", [set, list, dict.fromkeys])
+    def test_mutable_summary_cannot_be_sealed(self, mutable):
+        summary_set, _ = summaries_of(CALL_PROGRAM)
+        (label,) = summary_set.summaries
+        summary_set.summaries[label] = mutable(
+            summary_set.summaries[label].clobbers
+        )
+        with pytest.raises(DataflowError, match="mutable"):
+            summary_set.seal()
 
     def test_apply_refuses_unverified(self):
         summary_set, cfg = summaries_of(CALL_PROGRAM)
