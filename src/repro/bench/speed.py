@@ -12,10 +12,9 @@ comparable trajectory:
   resolution, compression);
 * **cold vs. warm start** through the persistent build cache, including
   the warm-start automaton-construction count (must be zero);
-* **simulator steps/second** (schema 2) across the dispatch lanes --
-  the predecoded direct-threaded lane against the preserved
-  fetch/decode loop -- gated on both lanes producing identical run
-  results on every bench workload;
+* **simulator steps/second** (schema 2) through the predecoded
+  direct-threaded dispatch, gated on every gate workload's output
+  matching the reference interpreter;
 * **end-to-end throughput** (schema 2): per-phase medians from the
   pipeline profiler, plus batch-compilation routines/second serial vs.
   parallel with byte-identical outputs asserted before timing.
@@ -53,7 +52,11 @@ from typing import Any, Callable, Dict, List
 #:    ``legacy_string`` codegen lanes and the ``fused`` simulator lane
 #:    (with ``fusion``) are gone; codegen reports
 #:    ``speedup_dense_vs_compressed``.
-SCHEMA_VERSION = 6
+#: 7: one simulator lane.  ``simulator`` drops the ``legacy`` lane and
+#:    ``speedup_predecode_vs_legacy``; its gate compares each workload's
+#:    output with the reference interpreter (``outputs_match_interp``
+#:    replaces ``lanes_identical``).
+SCHEMA_VERSION = 7
 
 DEFAULT_REPORT = "BENCH_speed.json"
 
@@ -258,7 +261,7 @@ def measure_cold_warm(variant: str = "full") -> Dict[str, Any]:
 
 
 def _gate_workloads() -> List:
-    """(name, source) pairs both simulator lanes must agree on."""
+    """(name, source) pairs the simulator must run like the interpreter."""
     from repro.bench import workloads as W
 
     return [
@@ -273,88 +276,64 @@ def _gate_workloads() -> List:
     ]
 
 
-def _run_lane(compiled, predecode: bool):
-    """One fresh simulator run; returns (SimResult, final regs, cc)."""
-    from repro.machines.s370.simulator import Simulator
-
-    sim = Simulator(predecode=predecode)
-    sim.load_image(compiled.image())
-    result = sim.run()
-    return result, list(sim.regs), sim.cc
-
-
 def measure_simulator(
     iterations: int = 9, variant: str = "full"
 ) -> Dict[str, Any]:
-    """Steps/second in the predecoded and legacy dispatch lanes.
+    """Steps/second through the predecoded dispatch lane.
 
-    Correctness gate first: every bench workload must produce an
-    identical :class:`~repro.machines.s370.simulator.SimResult` (output,
-    step count, halt/trap state, per-mnemonic instruction counts) *and*
-    identical final registers and condition code in both lanes.  Only
-    then is the loop-heavy kernel timed, interleaving the lanes
-    round-robin as in :func:`measure_codegen`.
+    Correctness gate first: every gate workload must halt without a
+    trap and print exactly what the reference interpreter prints.  Only
+    then is the loop-heavy kernel timed.
     """
     from repro.bench.workloads import loop_kernel
+    from repro.machines.s370.simulator import Simulator
     from repro.pascal.compiler import compile_source
+    from repro.pascal.interp import interpret_source
 
     # -- correctness gate ------------------------------------------------
     checked = []
     for name, source in _gate_workloads():
-        compiled = compile_source(source, variant=variant)
-        fast = _run_lane(compiled, predecode=True)
-        slow = _run_lane(compiled, predecode=False)
-        if fast != slow:
+        run = compile_source(source, variant=variant).run()
+        expected = interpret_source(source)
+        if not run.halted or run.trap is not None or run.output != expected:
             raise AssertionError(
-                f"simulator lanes diverged on workload {name!r}: "
-                f"fast={fast[0]!r} slow={slow[0]!r}"
+                f"simulator diverged from the interpreter on workload "
+                f"{name!r}: {run!r}, expected output {expected!r}"
             )
         checked.append(name)
 
     # -- timing ----------------------------------------------------------
-    compiled = compile_source(loop_kernel(1500), variant=variant)
-    image = compiled.image()
-    reference, _, _ = _run_lane(compiled, predecode=True)
-    nsteps = reference.steps
-
-    from repro.machines.s370.simulator import Simulator
-
-    lanes = {"predecoded": True, "legacy": False}
-    samples: Dict[str, List[float]] = {name: [] for name in lanes}
+    image = compile_source(loop_kernel(1500), variant=variant).image()
+    samples: List[float] = []
+    nsteps = None
     for _ in range(iterations):
-        for name, predecode in lanes.items():
-            sim = Simulator(predecode=predecode)
-            sim.load_image(image)
-            start = time.perf_counter()
-            run = sim.run()
-            samples[name].append(time.perf_counter() - start)
-            if run.steps != nsteps:
-                raise AssertionError(
-                    f"lane {name!r} executed {run.steps} steps, "
-                    f"expected {nsteps}"
-                )
+        sim = Simulator()
+        sim.load_image(image)
+        start = time.perf_counter()
+        run = sim.run()
+        samples.append(time.perf_counter() - start)
+        if nsteps is not None and run.steps != nsteps:
+            raise AssertionError(
+                f"simulator executed {run.steps} steps, expected {nsteps}"
+            )
+        nsteps = run.steps
 
-    result: Dict[str, Any] = {
+    from repro.bench.metrics import steps_per_second
+
+    median = statistics.median(samples)
+    return {
         "workload": "loop_kernel(1500)",
         "steps": nsteps,
         "iterations": iterations,
-        "lanes_identical": True,
+        "outputs_match_interp": True,
         "gate_workloads": checked,
-    }
-    from repro.bench.metrics import steps_per_second
-
-    for name, lane_samples in samples.items():
-        median = statistics.median(lane_samples)
-        result[name] = {
+        "predecoded": {
             "median_s": median,
-            "min_s": min(lane_samples),
-            "samples_s": lane_samples,
+            "min_s": min(samples),
+            "samples_s": samples,
             "steps_per_s": steps_per_second(nsteps, median),
-        }
-    result["speedup_predecode_vs_legacy"] = (
-        result["legacy"]["median_s"] / result["predecoded"]["median_s"]
-    )
-    return result
+        },
+    }
 
 
 def measure_end_to_end(
@@ -512,22 +491,15 @@ def validate_report(report: Dict[str, Any]) -> List[str]:
             f"{cache.get('warm_automaton_builds')!r}, expected 0"
         )
     simulator = report.get("simulator", {})
-    for lane in ("predecoded", "legacy"):
-        timing = simulator.get(lane)
-        if not isinstance(timing, dict):
-            problems.append(f"missing simulator lane {lane!r}")
-            continue
+    timing = simulator.get("predecoded")
+    if not isinstance(timing, dict):
+        problems.append("missing simulator lane 'predecoded'")
+    else:
         for field in ("median_s", "min_s", "samples_s", "steps_per_s"):
             if field not in timing:
-                problems.append(f"simulator.{lane} missing {field!r}")
-    if not isinstance(
-        simulator.get("speedup_predecode_vs_legacy"), (int, float)
-    ):
-        problems.append(
-            "simulator.speedup_predecode_vs_legacy missing or non-numeric"
-        )
-    if simulator.get("lanes_identical") is not True:
-        problems.append("simulator.lanes_identical is not true")
+                problems.append(f"simulator.predecoded missing {field!r}")
+    if simulator.get("outputs_match_interp") is not True:
+        problems.append("simulator.outputs_match_interp is not true")
     end_to_end = report.get("end_to_end", {})
     phases = end_to_end.get("phases")
     if not isinstance(phases, dict):
@@ -609,9 +581,6 @@ def render_summary(report: Dict[str, Any]) -> str:
             "",
             f"simulator ({sim['workload']}, {sim['steps']} steps):",
             f"  predecoded {sim['predecoded']['steps_per_s']:>12,.0f} steps/s",
-            f"  legacy     {sim['legacy']['steps_per_s']:>12,.0f} steps/s",
-            f"  predecode vs legacy: "
-            f"{sim['speedup_predecode_vs_legacy']:.2f}x",
         ]
     e2e = report.get("end_to_end")
     if e2e:

@@ -48,8 +48,8 @@ Commands
     and pool failure degrades gracefully to serial.
 ``bench [speed|codequality]``
     Benchmark trajectories.  ``speed`` (the default): tokens/second
-    through the dense and compressed table lanes, steps/second through
-    the predecoded and legacy simulator lanes, end-to-end per-phase
+    through the dense and compressed table lanes, simulator
+    steps/second, end-to-end per-phase
     medians and batch throughput, table-build phase times, and
     cold-vs-warm build-cache start; writes
     ``BENCH_speed.json`` (see :mod:`repro.bench.speed`).
@@ -140,9 +140,6 @@ def build_arg_parser() -> argparse.ArgumentParser:
                      help="integers consumed by read/readln")
     run.add_argument("--profile", action="store_true",
                      help="print per-phase wall times after the run")
-    run.add_argument("--legacy-sim", action="store_true",
-                     help="execute on the decode-every-step simulator "
-                          "lane instead of the predecoded dispatch cache")
     _add_opt_level(run)
 
     comp = sub.add_parser("compile", help="compile and inspect")
@@ -356,7 +353,6 @@ def cmd_run(args: argparse.Namespace) -> int:
             print(f"** degraded: {event}", file=sys.stderr)
         result = compiled.run(
             input_values=args.input,
-            predecode=not args.legacy_sim,
             profiler=profiler,
         )
         if profiler is not None:

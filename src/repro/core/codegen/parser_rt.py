@@ -1103,6 +1103,10 @@ class CodeGenerator:
             run.stats["plan_degraded_reason"] = (
                 run.alloc.plan_degraded_reason
             )
+        # The allocator's move/spill hooks are bound to `run`: drop the
+        # allocator so that cycle does not keep the buffer alive until
+        # the cyclic collector runs.
+        run.alloc = None
         return GeneratedCode(
             buffer=run.buffer,
             labels=run.labels,

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
-from repro.machines.s370.isa import BY_OPCODE, OpInfo
+from repro.machines.s370.isa import DECODE_TABLE, OpInfo
 
 
 @dataclass(frozen=True)
@@ -38,7 +38,7 @@ def _mem(d: int, x: int, b: int) -> str:
 def _decode_one(code: bytes, offset: int) -> Tuple[int, str]:
     """(length, text) for the instruction at ``offset``."""
     op = code[offset]
-    info: Optional[OpInfo] = BY_OPCODE.get(op)
+    info: Optional[OpInfo] = DECODE_TABLE[op]
     if info is None:
         return 2, f"dc    x'{code[offset:offset + 2].hex()}'"
 

@@ -117,12 +117,8 @@ OPCODES: Dict[str, OpInfo] = {
     ]
 }
 
-#: opcode byte -> OpInfo, for the simulator's decoder.
-BY_OPCODE: Dict[int, OpInfo] = {o.opcode: o for o in OPCODES.values()}
-
-#: opcode byte -> OpInfo or None, as a dense 256-entry table: the
-#: predecoded simulator lane indexes this directly instead of hashing
-#: through :data:`BY_OPCODE`.
+#: opcode byte -> OpInfo or None, as a dense 256-entry table indexed
+#: by the simulator's decoder and the disassembler.
 DECODE_TABLE: List[Optional[OpInfo]] = [None] * 256
 for _info in OPCODES.values():
     DECODE_TABLE[_info.opcode] = _info

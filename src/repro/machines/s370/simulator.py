@@ -62,21 +62,14 @@ class SimResult:
 class Simulator:
     """Registers, memory, condition code and the fetch/execute loop.
 
-    Two execution lanes share one set of instruction semantics:
-
-    * ``predecode=True`` (the default) caches, per program-counter
-      value, a zero-argument closure with the operand fields already
-      decoded -- a direct-threaded dispatch table filled in lazily as
-      execution reaches each instruction, so embedded data in the text
-      region is never decoded.  Any store into the predecoded text
-      range invalidates exactly the overlapping slots, so
-      self-modifying code stays correct.
-    * ``predecode=False`` is the original decode-every-step loop,
-      preserved verbatim as the measured baseline lane (see
-      :mod:`repro.bench.speed`, section ``simulator``).
-
-    Both lanes produce identical :class:`SimResult` values (output,
-    step count, instruction counts) and identical trap behavior.
+    Execution is direct-threaded: the simulator caches, per
+    program-counter value, a zero-argument closure with the operand
+    fields already decoded, filled in lazily as execution reaches each
+    instruction, so embedded data in the text region is never decoded.
+    Any store into the predecoded text range invalidates exactly the
+    overlapping slots, so self-modifying code stays correct.  The
+    semantics are pinned by golden vectors recorded from the original
+    decode-every-step loop (``tests/fixtures/simulator/``).
     """
 
     def __init__(
@@ -84,14 +77,11 @@ class Simulator:
         memory_size: int = runtime.MEMORY_SIZE,
         input_values: Optional[List[int]] = None,
         strict_alignment: bool = False,
-        predecode: bool = True,
     ):
         #: raise :class:`AlignmentFaultError` on misaligned fullword/
         #: halfword access (S/360-style integral boundaries).  Off by
         #: default: the S/370 tolerates misalignment, and so do we.
         self.strict_alignment = strict_alignment
-        #: execute through the predecoded dispatch cache (fast lane).
-        self.predecode = predecode
         self.memory = bytearray(memory_size)
         self.regs = [0] * 16
         self.cc = 0
@@ -105,7 +95,7 @@ class Simulator:
         self._input_pos = 0
         # Predecode dispatch cache: pc -> bound handler closure, plus
         # pc -> end address (pc + length) for exact invalidation.  Both
-        # empty until the fast lane executes something.
+        # empty until something executes.
         self._decoded: Dict[int, Callable[[], None]] = {}
         self._decoded_end: Dict[int, int] = {}
         # Text-region bounds of the loaded image; stores overlapping
@@ -256,27 +246,8 @@ class Simulator:
     # ---- execution ------------------------------------------------------------------
 
     def run(self, max_steps: int = 2_000_000) -> SimResult:
-        if self.predecode:
-            return self._run_predecoded(max_steps)
-        steps = 0
-        while not self._halted and self._trap is None:
-            if steps >= max_steps:
-                raise self._fault(
-                    StepLimitError,
-                    f"exceeded {max_steps} steps (runaway program?)",
-                )
-            self.step()
-            steps += 1
-        return SimResult(
-            output="".join(self._output),
-            steps=steps,
-            halted=self._halted,
-            trap=self._trap,
-            instruction_counts=dict(self._counts),
-        )
-
-    def _run_predecoded(self, max_steps: int) -> SimResult:
-        """The fast lane: direct-threaded dispatch off the decode cache."""
+        """Execute until halt or trap: direct-threaded dispatch off the
+        decode cache."""
         decoded = self._decoded
         decode = self._decode
         steps = 0
@@ -302,26 +273,14 @@ class Simulator:
     def step_fast(self) -> None:
         """Execute one instruction through the predecode cache.
 
-        The resumable single-step twin of :meth:`_run_predecoded`,
-        used by harnesses (e.g. the ``simcache`` chaos injector) that
-        need to interleave execution with cache surgery.
+        The resumable single-step twin of :meth:`run`, used by harnesses
+        (e.g. the ``simcache`` chaos injector) that need to interleave
+        execution with cache surgery.
         """
         handler = self._decoded.get(self.pc)
         if handler is None:
             handler = self._decode(self.pc)
         handler()
-
-    def step(self) -> None:
-        opcode = self.read_byte(self.pc)
-        info = isa.BY_OPCODE.get(opcode)
-        if info is None:
-            raise self._fault(
-                InvalidOpcodeError,
-                f"unknown opcode {opcode:#04x} at {self.pc:#x}",
-            )
-        self._counts[info.mnemonic] += 1
-        handler = getattr(self, f"_x_{info.format.lower()}")
-        handler(info)
 
     # ---- predecoded dispatch ---------------------------------------------------------
 
@@ -330,8 +289,8 @@ class Simulator:
 
         Decoding is lazy -- it happens the first time execution reaches
         ``pc`` -- so embedded data in the text region is never decoded,
-        and a decode-time fault carries exactly the PSW the slow lane
-        would raise with.
+        and a decode-time fault (unknown opcode, pc outside memory)
+        carries the PSW of the instruction being fetched.
         """
         opcode = self.read_byte(pc)
         info = isa.DECODE_TABLE[opcode]
@@ -348,8 +307,8 @@ class Simulator:
 
     def _unimplemented(self, info: isa.OpInfo) -> Callable[[], None]:
         """A slot for an ISA-listed mnemonic the simulator never grew a
-        handler for: counts the step, then raises the slow lane's
-        fault."""
+        handler for: counts the step, then raises a typed
+        :class:`InvalidOpcodeError`."""
         counts = self._counts
 
         def fn() -> None:
@@ -362,14 +321,6 @@ class Simulator:
         return fn
 
     # ---- helpers -----------------------------------------------------------------------
-
-    def _addr(self, x: int, b: int, d: int) -> int:
-        address = d
-        if x:
-            address += to_u32(self.regs[x])
-        if b:
-            address += to_u32(self.regs[b])
-        return to_u32(address) & 0xFFFFFF  # 24-bit addressing
 
     def _set_cc_value(self, value: int) -> None:
         signed = to_s32(value)
@@ -399,83 +350,6 @@ class Simulator:
         self.regs[r1] = to_u32(value >> 32)
         self.regs[r1 + 1] = to_u32(value)
 
-    # ---- RR format ------------------------------------------------------------------------
-
-    def _x_rr(self, info: isa.OpInfo) -> None:
-        b1 = self.read_byte(self.pc + 1)
-        r1, r2 = b1 >> 4, b1 & 0xF
-        next_pc = self.pc + 2
-        op = info.mnemonic
-        s = lambda r: to_s32(self.regs[r])
-
-        if op == "lr":
-            self.regs[r1] = self.regs[r2]
-        elif op == "ltr":
-            self.regs[r1] = self.regs[r2]
-            self._set_cc_value(self.regs[r1])
-        elif op == "lcr":
-            self.regs[r1] = to_u32(-s(r2))
-            self._set_cc_value(self.regs[r1])
-        elif op == "lpr":
-            self.regs[r1] = to_u32(abs(s(r2)))
-            self._set_cc_value(self.regs[r1])
-        elif op == "lnr":
-            self.regs[r1] = to_u32(-abs(s(r2)))
-            self._set_cc_value(self.regs[r1])
-        elif op == "ar":
-            self.regs[r1] = to_u32(self._arith(s(r1), s(r2), sub=False))
-        elif op == "sr":
-            self.regs[r1] = to_u32(self._arith(s(r1), s(r2), sub=True))
-        elif op == "alr":
-            total = to_u32(self.regs[r1]) + to_u32(self.regs[r2])
-            self.regs[r1] = to_u32(total)
-            self.cc = (2 if total > 0xFFFFFFFF else 0) + (
-                1 if to_u32(total) else 0
-            )
-        elif op == "slr":
-            a, b = to_u32(self.regs[r1]), to_u32(self.regs[r2])
-            self.regs[r1] = to_u32(a - b)
-            if a < b:
-                self.cc = 1        # borrow, nonzero
-            else:
-                self.cc = 2 if a == b else 3
-        elif op == "mr":
-            product = to_s32(self.regs[r1 + 1]) * s(r2)
-            self._set_pair(r1, product)
-        elif op == "dr":
-            self._divide(r1, s(r2))
-        elif op == "cr":
-            self._set_cc_compare(s(r1), s(r2))
-        elif op == "clr":
-            self._set_cc_compare(to_u32(self.regs[r1]), to_u32(self.regs[r2]))
-        elif op == "nr":
-            self.regs[r1] = to_u32(self.regs[r1] & self.regs[r2])
-            self.cc = 1 if self.regs[r1] else 0
-        elif op == "or":
-            self.regs[r1] = to_u32(self.regs[r1] | self.regs[r2])
-            self.cc = 1 if self.regs[r1] else 0
-        elif op == "xr":
-            self.regs[r1] = to_u32(self.regs[r1] ^ self.regs[r2])
-            self.cc = 1 if self.regs[r1] else 0
-        elif op == "bcr":
-            if r2 and (r1 >> (3 - self.cc)) & 1:
-                next_pc = to_u32(self.regs[r2]) & 0xFFFFFF
-        elif op == "balr":
-            self.regs[r1] = next_pc
-            if r2:
-                next_pc = to_u32(self.regs[r2]) & 0xFFFFFF
-        elif op == "bctr":
-            self.regs[r1] = to_u32(s(r1) - 1)
-            if r2 and to_u32(self.regs[r1]) != 0:
-                next_pc = to_u32(self.regs[r2]) & 0xFFFFFF
-        elif op == "mvcl":
-            self._mvcl(r1, r2)
-        else:
-            raise self._fault(
-                InvalidOpcodeError, f"unimplemented RR op {op!r}"
-            )
-        self.pc = next_pc
-
     def _divide(self, r1: int, divisor: int) -> None:
         if divisor == 0:
             self._trap = "divide by zero"
@@ -504,128 +378,6 @@ class Simulator:
         self.regs[r2] = to_u32(src + moved)
         self.regs[r2 + 1] = to_u32(self.regs[r2 + 1]) & 0xFF000000
         self.cc = 0 if dlen == slen else (1 if dlen < slen else 2)
-
-    # ---- RX format --------------------------------------------------------------------------
-
-    def _x_rx(self, info: isa.OpInfo) -> None:
-        b1 = self.read_byte(self.pc + 1)
-        b2 = self.read_byte(self.pc + 2)
-        b3 = self.read_byte(self.pc + 3)
-        r1, x2 = b1 >> 4, b1 & 0xF
-        b, d = b2 >> 4, ((b2 & 0xF) << 8) | b3
-        address = self._addr(x2, b, d)
-        next_pc = self.pc + 4
-        op = info.mnemonic
-        s = lambda r: to_s32(self.regs[r])
-
-        if op == "l":
-            self.regs[r1] = to_u32(self.read_word(address))
-        elif op == "lh":
-            self.regs[r1] = to_u32(self.read_half(address))
-        elif op == "la":
-            self.regs[r1] = address
-        elif op == "st":
-            self.write_word(address, self.regs[r1])
-        elif op == "sth":
-            self.write_half(address, self.regs[r1])
-        elif op == "stc":
-            self.write_byte(address, self.regs[r1])
-        elif op == "ic":
-            self.regs[r1] = to_u32(
-                (self.regs[r1] & 0xFFFFFF00) | self.read_byte(address)
-            )
-        elif op == "a":
-            self.regs[r1] = to_u32(
-                self._arith(s(r1), to_s32(self.read_word(address)), sub=False)
-            )
-        elif op == "ah":
-            self.regs[r1] = to_u32(
-                self._arith(s(r1), self.read_half(address), sub=False)
-            )
-        elif op == "s":
-            self.regs[r1] = to_u32(
-                self._arith(s(r1), to_s32(self.read_word(address)), sub=True)
-            )
-        elif op == "sh":
-            self.regs[r1] = to_u32(
-                self._arith(s(r1), self.read_half(address), sub=True)
-            )
-        elif op == "m":
-            product = to_s32(self.regs[r1 + 1]) * to_s32(self.read_word(address))
-            self._set_pair(r1, product)
-        elif op == "mh":
-            self.regs[r1] = to_u32(s(r1) * self.read_half(address))
-        elif op == "d":
-            self._divide(r1, to_s32(self.read_word(address)))
-        elif op == "c":
-            self._set_cc_compare(s(r1), to_s32(self.read_word(address)))
-        elif op == "ch":
-            self._set_cc_compare(s(r1), self.read_half(address))
-        elif op == "cl":
-            self._set_cc_compare(
-                to_u32(self.regs[r1]), to_u32(self.read_word(address))
-            )
-        elif op == "n":
-            self.regs[r1] = to_u32(self.regs[r1] & self.read_word(address))
-            self.cc = 1 if self.regs[r1] else 0
-        elif op == "o":
-            self.regs[r1] = to_u32(self.regs[r1] | self.read_word(address))
-            self.cc = 1 if self.regs[r1] else 0
-        elif op == "x":
-            self.regs[r1] = to_u32(self.regs[r1] ^ self.read_word(address))
-            self.cc = 1 if self.regs[r1] else 0
-        elif op == "bc":
-            if (r1 >> (3 - self.cc)) & 1:
-                next_pc = address
-        elif op == "bal":
-            self.regs[r1] = next_pc
-            next_pc = address
-        elif op == "bct":
-            self.regs[r1] = to_u32(s(r1) - 1)
-            if to_u32(self.regs[r1]) != 0:
-                next_pc = address
-        else:
-            raise self._fault(
-                InvalidOpcodeError, f"unimplemented RX op {op!r}"
-            )
-        self.pc = next_pc
-
-    # ---- RS format ---------------------------------------------------------------------------
-
-    def _x_rs(self, info: isa.OpInfo) -> None:
-        b1 = self.read_byte(self.pc + 1)
-        b2 = self.read_byte(self.pc + 2)
-        b3 = self.read_byte(self.pc + 3)
-        r1, r3 = b1 >> 4, b1 & 0xF
-        b, d = b2 >> 4, ((b2 & 0xF) << 8) | b3
-        op = info.mnemonic
-
-        if op in ("sla", "sra", "sll", "srl", "slda", "srda", "sldl", "srdl"):
-            amount = self._addr(0, b, d) & 0x3F
-            self._shift(op, r1, amount)
-        elif op == "stm":
-            address = self._addr(0, b, d)
-            r = r1
-            while True:
-                self.write_word(address, self.regs[r])
-                address += 4
-                if r == r3:
-                    break
-                r = (r + 1) % 16
-        elif op == "lm":
-            address = self._addr(0, b, d)
-            r = r1
-            while True:
-                self.regs[r] = to_u32(self.read_word(address))
-                address += 4
-                if r == r3:
-                    break
-                r = (r + 1) % 16
-        else:
-            raise self._fault(
-                InvalidOpcodeError, f"unimplemented RS op {op!r}"
-            )
-        self.pc += 4
 
     def _shift(self, op: str, r1: int, amount: int) -> None:
         if op in ("slda", "srda", "sldl", "srdl"):
@@ -657,142 +409,22 @@ class Simulator:
         else:  # srl
             self.regs[r1] = to_u32(self.regs[r1]) >> amount
 
-    # ---- SI format -------------------------------------------------------------------------------
-
-    def _x_si(self, info: isa.OpInfo) -> None:
-        i2 = self.read_byte(self.pc + 1)
-        b2 = self.read_byte(self.pc + 2)
-        b3 = self.read_byte(self.pc + 3)
-        b, d = b2 >> 4, ((b2 & 0xF) << 8) | b3
-        address = self._addr(0, b, d)
-        op = info.mnemonic
-
-        if op == "mvi":
-            self.write_byte(address, i2)
-        elif op == "ni":
-            value = self.read_byte(address) & i2
-            self.write_byte(address, value)
-            self.cc = 1 if value else 0
-        elif op == "oi":
-            value = self.read_byte(address) | i2
-            self.write_byte(address, value)
-            self.cc = 1 if value else 0
-        elif op == "xi":
-            value = self.read_byte(address) ^ i2
-            self.write_byte(address, value)
-            self.cc = 1 if value else 0
-        elif op == "tm":
-            value = self.read_byte(address) & i2
-            if value == 0:
-                self.cc = 0
-            elif value == i2:
-                self.cc = 3
-            else:
-                self.cc = 1
-        elif op == "cli":
-            self._set_cc_compare(self.read_byte(address), i2)
-        else:
-            raise self._fault(
-                InvalidOpcodeError, f"unimplemented SI op {op!r}"
-            )
-        self.pc += 4
-
-    # ---- SS format ---------------------------------------------------------------------------------
-
-    def _x_ss(self, info: isa.OpInfo) -> None:
-        length = self.read_byte(self.pc + 1) + 1  # length-1 encoding
-        b2 = self.read_byte(self.pc + 2)
-        b3 = self.read_byte(self.pc + 3)
-        b4 = self.read_byte(self.pc + 4)
-        b5 = self.read_byte(self.pc + 5)
-        a1 = self._addr(0, b2 >> 4, ((b2 & 0xF) << 8) | b3)
-        a2 = self._addr(0, b4 >> 4, ((b4 & 0xF) << 8) | b5)
-        op = info.mnemonic
-
-        if op == "mvc":
-            for i in range(length):  # byte-at-a-time: overlap semantics
-                self.write_byte(a1 + i, self.read_byte(a2 + i))
-        elif op == "clc":
-            self.cc = 0
-            for i in range(length):
-                x, y = self.read_byte(a1 + i), self.read_byte(a2 + i)
-                if x != y:
-                    self.cc = 1 if x < y else 2
-                    break
-        elif op in ("nc", "oc", "xc"):
-            any_bits = 0
-            for i in range(length):
-                x, y = self.read_byte(a1 + i), self.read_byte(a2 + i)
-                if op == "nc":
-                    value = x & y
-                elif op == "oc":
-                    value = x | y
-                else:
-                    value = x ^ y
-                self.write_byte(a1 + i, value)
-                any_bits |= value
-            self.cc = 1 if any_bits else 0
-        else:
-            raise self._fault(
-                InvalidOpcodeError, f"unimplemented SS op {op!r}"
-            )
-        self.pc += 6
-
-    # ---- SVC (the simulator's supervisor services) ------------------------------------------------------
-
-    def _x_svc(self, info: isa.OpInfo) -> None:
-        number = self.read_byte(self.pc + 1)
-        self.pc += 2
-        r1 = to_s32(self.regs[1])
-        if number == isa.SVC_HALT:
-            self._halted = True
-        elif number == isa.SVC_WRITE_INT:
-            self._output.append(str(r1))
-        elif number == isa.SVC_WRITE_CHAR:
-            self._output.append(chr(self.regs[1] & 0xFF))
-        elif number == isa.SVC_WRITE_NL:
-            self._output.append("\n")
-        elif number == isa.SVC_WRITE_BOOL:
-            self._output.append("true" if r1 & 1 else "false")
-        elif number == isa.SVC_WRITE_STR:
-            address = to_u32(self.regs[1]) & 0xFFFFFF
-            count = to_u32(self.regs[2])
-            self._check(address, count)
-            self._output.append(
-                self.memory[address : address + count].decode(
-                    "ascii", "replace"
-                )
-            )
-        elif number == isa.SVC_READ_INT:
-            if self._input_pos >= len(self.input_values):
-                self._trap = "read past end of input"
-            else:
-                self.regs[1] = to_u32(self.input_values[self._input_pos])
-                self._input_pos += 1
-        elif number == isa.SVC_CHECK_LOW:
-            self._trap = "range check: underflow"
-        elif number == isa.SVC_CHECK_HIGH:
-            self._trap = "range check: overflow"
-        elif number == isa.SVC_ABORT:
-            self._trap = f"abort {r1}"
-        else:
-            raise self._fault(InvalidOpcodeError, f"unknown SVC {number}")
-
 
 # ---- predecode factories ----------------------------------------------------------
 #
 # One factory per instruction format.  Each decodes the operand fields
 # exactly once and returns a zero-argument closure specialized for the
 # mnemonic, with `next_pc` and register numbers baked in as constants.
-# The closures must mirror the `_x_*` handlers above instruction for
-# instruction: count first (the slow lane counts before executing, even
-# when the handler then faults), semantics second, program-counter
-# update last.  Effective addresses are recomputed on every execution
-# (base/index registers are live state); everything else is constant.
+# Every closure counts first (an instruction that then faults is still
+# counted), executes second and updates the program counter last.
+# Effective addresses are recomputed on every execution (base/index
+# registers are live state); everything else is constant.  A branch
+# that also writes r1 (BAL, BCT) computes its address before the write.
 
 
 def _ea_factory(sim: "Simulator", x: int, b: int, d: int) -> Callable[[], int]:
-    """A specialized effective-address closure (mirrors `_addr`)."""
+    """A specialized effective-address closure: ``d(x,b)`` with 24-bit
+    wrap-around, a zero register field meaning no register."""
     regs = sim.regs
     if x and b:
         def ea() -> int:
@@ -1105,13 +737,15 @@ def _decode_rx(sim: "Simulator", pc: int, info: isa.OpInfo):
     elif op == "bal":
         def fn() -> None:
             counts["bal"] += 1
+            address = ea()
             regs[r1] = next_pc
-            sim.pc = ea()
+            sim.pc = address
     elif op == "bct":
         def fn() -> None:
             counts["bct"] += 1
+            address = ea()
             regs[r1] = to_u32(to_s32(regs[r1]) - 1)
-            sim.pc = ea() if regs[r1] != 0 else next_pc
+            sim.pc = address if regs[r1] != 0 else next_pc
     else:
         fn = sim._unimplemented(info)
     return fn

@@ -133,14 +133,11 @@ class CompiledProgram:
         self,
         max_steps: int = 2_000_000,
         input_values=None,
-        predecode: bool = True,
         profiler: Optional[PhaseProfiler] = None,
     ) -> SimResult:
         """Execute on a fresh simulator."""
         prof = profiler if profiler is not None else NULL_PROFILER
-        simulator = Simulator(
-            input_values=input_values, predecode=predecode,
-        )
+        simulator = Simulator(input_values=input_values)
         simulator.load_image(self.image())
         with prof.phase("simulate"):
             return simulator.run(max_steps=max_steps)

@@ -56,7 +56,6 @@ _DEFAULT_OPTS: Dict[str, object] = {
     "run": True,
     "max_steps": 2_000_000,
     "profile": False,
-    "predecode": True,
     "opt_level": 1,
 }
 
@@ -244,7 +243,6 @@ def compile_batch(
     run: bool = True,
     max_steps: int = 2_000_000,
     profile: bool = False,
-    predecode: bool = True,
     start_method: Optional[str] = None,
     opt_level: int = 1,
     force_parallel: bool = False,
@@ -271,7 +269,6 @@ def compile_batch(
         run=run,
         max_steps=max_steps,
         profile=profile,
-        predecode=predecode,
         opt_level=opt_level,
     )
     cpu_count = os.cpu_count() or 1

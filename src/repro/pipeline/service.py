@@ -106,7 +106,6 @@ class ServiceRequest:
     opt_level: int = 1
     input_values: Optional[List[int]] = None
     max_steps: int = 2_000_000
-    predecode: bool = True
     #: include the base64 object records in the payload (``/compile``).
     return_object: bool = False
     #: lint target (built-in spec name, e.g. ``"toy"``, ``"s370:full"``).
@@ -133,7 +132,7 @@ class ServiceRequest:
             "name": str, "source": str, "variant": str,
             "table_mode": str, "optimize": bool, "checks": bool,
             "fallback": bool, "opt_level": int, "input_values": list,
-            "max_steps": int, "predecode": bool, "return_object": bool,
+            "max_steps": int, "return_object": bool,
             "spec": str, "spec_text": str, "target": str,
         }
         fields: Dict[str, object] = {}
@@ -371,7 +370,6 @@ def execute_request(
             result = compiled.run(
                 max_steps=request.max_steps,
                 input_values=request.input_values,
-                predecode=request.predecode,
                 profiler=prof,
             )
             payload["output"] = result.output

@@ -38,11 +38,11 @@ Eleven injectors, one per fragile layer:
     never correctness.
 ``simcache``
     Corrupt the simulator's predecode dispatch cache mid-run (wholesale
-    clears, random slot drops, forced slow-lane interleaving) while the
-    known-good program executes on the fast lane.  The simulator must
-    degrade to re-decoding -- the run's output, step count and
-    instruction counts must match a pristine slow-lane reference
-    exactly.  Cache damage may cost time, never correctness.
+    clears, random slot drops, a stretch that re-decodes every step)
+    while the known-good program executes.  The simulator must degrade
+    to re-decoding -- the run's output, step count and instruction
+    counts must match an undamaged run of the same image exactly.
+    Cache damage may cost time, never correctness.
 ``peephole``
     Compile the known-good program repeatedly with random peephole rule
     subsets -- including randomly disabling rules mid-batch -- and
@@ -393,7 +393,7 @@ def _inject_buildcache(rng: random.Random, fx: _Fixture) -> Callable[[], None]:
     return action
 
 
-#: Slow-lane reference runs of the chaos program, by variant:
+#: Undamaged reference runs of the chaos program, by variant:
 #: (output, steps, instruction_counts).
 _SIM_REFERENCES: Dict[str, Tuple[str, int, Dict[str, int]]] = {}
 
@@ -402,7 +402,7 @@ def _sim_reference(fx: _Fixture) -> Tuple[str, int, Dict[str, int]]:
     entry = _SIM_REFERENCES.get(fx.variant)
     if entry is None:
         obj = read_object(fx.object_records)
-        reference = Simulator(predecode=False)
+        reference = Simulator()
         reference.load_image(obj.to_image())
         result = reference.run(max_steps=CHAOS_SIM_STEPS)
         entry = (result.output, result.steps, result.instruction_counts)
@@ -417,7 +417,7 @@ def _inject_simcache(rng: random.Random, fx: _Fixture) -> Callable[[], None]:
 
     def action() -> None:
         obj = read_object(fx.object_records)
-        sim = Simulator(predecode=True)
+        sim = Simulator()
         sim.load_image(obj.to_image())
         remaining = surgeries
         next_surgery = rng.randint(1, 40)
@@ -441,13 +441,15 @@ def _inject_simcache(rng: random.Random, fx: _Fixture) -> Callable[[], None]:
                         del sim._decoded[pc]
                         del sim._decoded_end[pc]
                 else:
-                    # Force the slow lane for a stretch: the preserved
-                    # fetch/decode loop and the cache must interleave
-                    # without disagreeing.
+                    # Re-decode every step for a stretch: fresh decodes
+                    # and cached slots must interleave without
+                    # disagreeing.
                     for _ in range(rng.randint(1, 20)):
                         if sim._halted or sim._trap is not None:
                             break
-                        sim.step()
+                        sim._decoded.pop(sim.pc, None)
+                        sim._decoded_end.pop(sim.pc, None)
+                        sim.step_fast()
                         steps += 1
                     if sim._halted or sim._trap is not None:
                         break

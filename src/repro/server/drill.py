@@ -180,10 +180,7 @@ class _Drill:
         })
 
     def _do_run(self) -> None:
-        self._post("/run", {
-            "name": "drill-run", "source": CHAOS_PROGRAM,
-            "predecode": self.rng.random() < 0.5,
-        })
+        self._post("/run", {"name": "drill-run", "source": CHAOS_PROGRAM})
 
     def _do_lint(self) -> None:
         self._post("/lint", {

@@ -159,7 +159,7 @@ def _lane(rate_key):
 
 
 def _valid_report():
-    """The smallest report validate_report accepts (schema 6)."""
+    """The smallest report validate_report accepts (schema 7)."""
     return {
         "schema_version": SCHEMA_VERSION,
         "git_rev": "abc1234",
@@ -175,9 +175,7 @@ def _valid_report():
         "build_cache": {"warm_automaton_builds": 0},
         "simulator": {
             "predecoded": _lane("steps_per_s"),
-            "legacy": _lane("steps_per_s"),
-            "speedup_predecode_vs_legacy": 2.0,
-            "lanes_identical": True,
+            "outputs_match_interp": True,
         },
         "end_to_end": {
             "phases": {phase: 0.001 for phase in PHASES},
@@ -206,13 +204,16 @@ class TestSchemaValidation:
 
     def test_missing_simulator_lane_rejected(self):
         report = _valid_report()
-        del report["simulator"]["legacy"]
-        assert any("legacy" in p for p in validate_report(report))
+        del report["simulator"]
+        assert any("simulator" in p for p in validate_report(report))
 
     def test_diverged_lanes_rejected(self):
+        # The simulator lane's output diverged from the interpreter's.
         report = _valid_report()
-        report["simulator"]["lanes_identical"] = False
-        assert any("lanes_identical" in p for p in validate_report(report))
+        report["simulator"]["outputs_match_interp"] = False
+        assert any(
+            "outputs_match_interp" in p for p in validate_report(report)
+        )
 
     def test_missing_compressed_lane_rejected(self):
         report = _valid_report()
@@ -275,6 +276,25 @@ class TestSchemaValidation:
         report["end_to_end"]["batch"]["parallel_mode"] = "serial"
         report["end_to_end"]["batch"]["pool_reused"] = False
         assert validate_report(report) == []
+
+
+class TestSimulatorSection:
+    def test_gate_passes_and_times_one_lane(self):
+        from repro.bench.speed import measure_simulator
+
+        section = measure_simulator(iterations=1)
+        assert section["outputs_match_interp"] is True
+        assert section["steps"] > 0
+        assert set(section) >= {"predecoded", "gate_workloads"}
+        assert "legacy" not in section
+
+    def test_gate_rejects_output_unlike_the_interpreter(self, monkeypatch):
+        from repro.bench import speed
+        from repro.pascal import interp
+
+        monkeypatch.setattr(interp, "interpret_source", lambda src: "?")
+        with pytest.raises(AssertionError, match="interpreter"):
+            speed.measure_simulator(iterations=1)
 
 
 class TestDebugMarkers:

@@ -299,3 +299,26 @@ class TestNeedShuffle:
         assert names[0] == "load"
         # a shuffle 'lr'-style move was emitted by the move hook
         assert any("shuffle" in i.comment for i in code.instructions())
+
+
+class TestBufferLifetime:
+    @pytest.mark.parametrize("level", [1, 4])
+    def test_buffer_freed_by_refcount(self, level):
+        """A compile's CodeBuffer dies with its last reference, without
+        waiting for the cyclic garbage collector."""
+        import gc
+        import weakref
+
+        from repro.bench.workloads import call_heavy
+        from repro.pascal.compiler import compile_source
+
+        compile_source(call_heavy(), opt_level=level)  # warm caches
+        gc.collect()
+        gc.disable()
+        try:
+            compiled = compile_source(call_heavy(), opt_level=level)
+            buffer = weakref.ref(compiled.generated.buffer)
+            del compiled
+            assert buffer() is None
+        finally:
+            gc.enable()

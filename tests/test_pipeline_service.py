@@ -116,6 +116,16 @@ class TestFromWire:
         assert info.value.detail == "bad-field"
         assert "frobnicate" in str(info.value)
 
+    def test_removed_predecode_field_rejected(self):
+        # The simulator has one execution path; its old lane switch is
+        # now an unknown field like any other.
+        with pytest.raises(BadRequestError) as info:
+            ServiceRequest.from_wire(
+                {"source": PROGRAM, "predecode": False}, "run"
+            )
+        assert info.value.detail == "bad-field"
+        assert "predecode" in str(info.value)
+
     def test_wrong_type_rejected(self):
         with pytest.raises(BadRequestError) as info:
             ServiceRequest.from_wire(

@@ -286,6 +286,36 @@ def test_chaos_single_injector():
             assert result.ok
 
 
+def test_simcache_injector_detects_a_poisoned_slot(monkeypatch):
+    """A cache slot holding the wrong handler must make the injector
+    raise.  The poisoned slot skips the program's ``svc`` write, so the
+    run loses its output and a count against the undamaged reference."""
+    import random
+
+    from repro.machines.s370 import isa
+    from repro.machines.s370.simulator import Simulator
+    from repro.robustness.faultinject import _fixture
+
+    # Built before the poison: this computes the undamaged reference.
+    action = INJECTORS["simcache"](random.Random(0), _fixture("full"))
+    decode = Simulator._decode
+
+    def poisoned(sim, pc):
+        handler = decode(sim, pc)
+        if sim.memory[pc] == isa.OPCODES["svc"].opcode and (
+            sim.memory[pc + 1] == isa.SVC_WRITE_INT
+        ):
+            def handler():
+                sim.pc = pc + 2
+
+            sim._decoded[pc] = handler
+        return handler
+
+    monkeypatch.setattr(Simulator, "_decode", poisoned)
+    with pytest.raises(RuntimeError, match="changed the run"):
+        action()
+
+
 def test_chaos_server_injector_typed_and_recovers():
     """The eighth injector drives a live compile server: crashes,
     latency past the deadline and queue-overflow storms must all come

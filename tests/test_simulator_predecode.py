@@ -1,26 +1,47 @@
-"""Differential tests: predecoded dispatch lane vs. the preserved loop.
+"""The predecoded dispatch lane against frozen reference vectors.
 
-The fast lane (``predecode=True``) must be observationally identical to
-the original fetch/decode loop on results, traps, alignment behavior
-and self-modifying code -- its only permitted difference is speed.
+``tests/fixtures/simulator/`` holds golden vectors recorded from the
+original decode-every-step loop (``Simulator.step``) before it was
+deleted; its header names the commit and the seed.  ``steps.json``
+pins one instruction per vector -- every mnemonic in ``isa.OPCODES``,
+every SVC service, unknown opcodes and a pc outside memory -- as a
+pre-state and a post-state: registers, CC, pc, a sparse memory window,
+output, instruction counts and the typed trap with its PSW.
+``runs.json`` pins whole runs: compiled workloads, alignment faults and
+tolerance, the register-pair fault, self-modifying code and embedded
+data.  The simulator's one execution lane must reproduce both.
 """
+
+import hashlib
+import json
+from collections import defaultdict
+from pathlib import Path
 
 import pytest
 
-from repro.bench import workloads as W
-from repro.errors import (
-    AlignmentFaultError,
-    RegisterPairFaultError,
-    SimulatorError,
-)
-from repro.core.codegen.emitter import Imm, Instr, Mem, R
+from repro.errors import RegisterPairFaultError, SimulatorError
+from repro.core.codegen.emitter import Imm, Instr, R
 from repro.machines.s370 import isa, runtime
 from repro.machines.s370.encode import S370Encoder
 from repro.machines.s370.simulator import Simulator
-from repro.pascal.compiler import compile_source
 
 ENC = S370Encoder()
 BASE = runtime.MODULE_BASE
+FIXTURES = Path(__file__).parent / "fixtures" / "simulator"
+
+
+def _load(name):
+    with open(FIXTURES / name) as fh:
+        return json.load(fh)
+
+
+STEPS = _load("steps.json")
+RUNS = {v["id"]: v for v in _load("runs.json")["vectors"]}
+STEP_MEMORY = STEPS["header"]["memory_size"]
+BY_MNEMONIC = defaultdict(list)
+for _vector in STEPS["vectors"]:
+    BY_MNEMONIC[_vector["mnemonic"] or "(none)"].append(_vector)
+del _vector
 
 
 def _image(instrs, data=b""):
@@ -29,78 +50,150 @@ def _image(instrs, data=b""):
     return runtime.ExecutableImage(code=code, entry=0, data=data)
 
 
-def _run_lane(image, predecode, setup=None, strict_alignment=False):
-    """Run one lane; returns ('ok', result, regs, cc) or ('error', ...)."""
-    sim = Simulator(strict_alignment=strict_alignment, predecode=predecode)
-    sim.load_image(image)
+def _fault_record(error):
+    psw = error.psw
+    return {
+        "class": type(error).__name__,
+        "message": str(error),
+        "psw": {"pc": psw["pc"], "cc": psw["cc"], "regs": list(psw["regs"])},
+    }
+
+
+def _poke(memory, windows):
+    for addr, data in windows:
+        raw = bytes.fromhex(data)
+        memory[addr:addr + len(raw)] = raw
+
+
+# ---- single steps ------------------------------------------------------------
+
+
+def _code_byte(pre, offset):
+    """The byte at ``pc + offset`` in a vector's pre-state."""
+    address = pre["pc"] + offset
+    for addr, data in pre["mem"]:
+        if addr <= address < addr + len(data) // 2:
+            return bytes.fromhex(data)[address - addr]
+    raise KeyError(address)
+
+
+def _replay_step(vector):
+    """Execute one vector's instruction; returns (post-state, memory)."""
+    pre = vector["pre"]
+    sim = Simulator(memory_size=STEP_MEMORY, input_values=pre["input"],
+                    strict_alignment=pre["strict_alignment"])
+    _poke(sim.memory, pre["mem"])
+    sim.regs[:] = pre["regs"]
+    sim.cc = pre["cc"]
+    sim.pc = pre["pc"]
+    fault = None
+    try:
+        sim.step_fast()
+    except SimulatorError as error:
+        fault = _fault_record(error)
+    post = {
+        "regs": list(sim.regs),
+        "cc": sim.cc,
+        "pc": sim.pc,
+        "mem": [
+            [addr, sim.memory[addr:addr + len(data) // 2].hex()]
+            for addr, data in pre["mem"]
+        ],
+        "output": "".join(sim._output),
+        "counts": dict(sim._counts),
+        "halted": sim._halted,
+        "trap": sim._trap,
+        "fault": fault,
+    }
+    return post, sim.memory
+
+
+class TestGoldenSteps:
+    @pytest.mark.parametrize("mnemonic", sorted(BY_MNEMONIC))
+    def test_step_vectors(self, mnemonic):
+        for vector in BY_MNEMONIC[mnemonic]:
+            post, memory = _replay_step(vector)
+            assert post == vector["post"], vector["id"]
+            # No byte outside the recorded windows may change.
+            expected = bytearray(STEP_MEMORY)
+            _poke(expected, vector["post"]["mem"])
+            assert memory == expected, vector["id"]
+
+    def test_vectors_cover_every_opcode_and_trap_class(self):
+        assert set(isa.OPCODES) <= set(BY_MNEMONIC)
+        classes = {
+            (v["post"]["fault"] or {}).get("class")
+            for v in STEPS["vectors"]
+        }
+        assert classes >= {
+            "MemoryFaultError", "AlignmentFaultError",
+            "RegisterPairFaultError", "InvalidOpcodeError",
+        }
+        # SS length bytes 0 and 255 (1 and 256 bytes) are both pinned.
+        for op in ("mvc", "clc", "nc", "oc", "xc"):
+            lbytes = {_code_byte(v["pre"], 1) for v in BY_MNEMONIC[op]}
+            assert {0, 255} <= lbytes, op
+
+
+# ---- whole runs --------------------------------------------------------------------
+
+
+def _replay_run(run_id):
+    """Replay one recorded run, assert it matches, and return it."""
+    vector = RUNS[run_id]
+    image = vector["image"]
+    sim = Simulator(strict_alignment=vector["strict_alignment"])
+    sim.load_image(runtime.ExecutableImage(
+        code=bytes.fromhex(image["code"]), entry=image["entry"],
+        data=bytes.fromhex(image["data"]),
+        relocations=list(image["relocations"]),
+    ))
+    setup = vector["setup"]
     if setup:
-        setup(sim)
+        for r, value in setup["regs"].items():
+            sim.regs[int(r)] = value
+        _poke(sim.memory, setup["mem"])
+    record = {"fault": None}
     try:
         result = sim.run()
     except SimulatorError as error:
-        return ("error", type(error).__name__, str(error),
-                getattr(error, "psw", None))
-    return ("ok", result, list(sim.regs), sim.cc)
-
-
-def _assert_lanes_agree(image, setup=None, strict_alignment=False):
-    fast = _run_lane(image, True, setup, strict_alignment)
-    slow = _run_lane(image, False, setup, strict_alignment)
-    assert fast == slow
-    return fast
+        record["fault"] = _fault_record(error)
+    else:
+        record.update(output=result.output, steps=result.steps,
+                      halted=result.halted, trap=result.trap,
+                      counts=result.instruction_counts)
+    record.update(regs=list(sim.regs), cc=sim.cc, pc=sim.pc,
+                  memory_sha256=hashlib.sha256(sim.memory).hexdigest())
+    assert record == vector["result"]
+    return record
 
 
 class TestLaneDifferential:
     @pytest.mark.parametrize(
-        "source",
-        [
-            W.appendix1_equation(),
-            W.appendix1_fragment(),
-            W.straightline(40, seed=5),
-            W.branch_ladder(25),
-            W.array_kernel(10),
-            W.loop_kernel(120),
-        ],
+        "run_id",
+        ["app1a", "app1b", "straight", "ladder", "arrays", "loop"],
         ids=["app1a", "app1b", "straight", "ladder", "arrays", "loop"],
     )
-    def test_compiled_workloads_identical(self, source):
-        compiled = compile_source(source)
-        image = compiled.image()
-        fast = _assert_lanes_agree(image)
-        assert fast[0] == "ok"
-        result = fast[1]
-        assert result.halted and result.trap is None
-        assert result.instruction_counts  # Counter contents compared too
+    def test_compiled_workloads_identical(self, run_id):
+        record = _replay_run(run_id)
+        assert record["halted"] and record["trap"] is None
+        assert record["counts"]  # instruction counts compared too
 
     def test_strict_alignment_faults_identically(self):
-        image = _image(
-            [Instr("l", (R(3), Mem(2, 0, runtime.R_GLOBAL_BASE)))]
-        )
-        fast = _assert_lanes_agree(image, strict_alignment=True)
-        assert fast[0] == "error"
-        assert fast[1] == "AlignmentFaultError"
-        assert fast[3] is not None  # PSW context attached in both lanes
+        record = _replay_run("strict-alignment-fault")
+        assert record["fault"]["class"] == "AlignmentFaultError"
 
     def test_strict_alignment_off_tolerates_identically(self):
-        def setup(sim):
-            sim.memory[runtime.GLOBAL_AREA + 2:
-                       runtime.GLOBAL_AREA + 6] = (77).to_bytes(4, "big")
-
-        image = _image(
-            [Instr("l", (R(3), Mem(2, 0, runtime.R_GLOBAL_BASE)))]
-        )
-        fast = _assert_lanes_agree(image, setup=setup)
-        assert fast[0] == "ok"
-        assert fast[2][3] == 77
+        record = _replay_run("alignment-tolerated")
+        assert record["fault"] is None
+        assert record["regs"][3] == 77
 
     def test_register_pair_fault_typed_in_both_lanes(self):
         # SRDA of an odd first register is a specification exception:
-        # both lanes must raise the typed trap with the same PSW.
-        image = _image([Instr("srda", (R(3), Imm(1)))])
-        fast = _assert_lanes_agree(image)
-        assert fast[0] == "error"
-        assert fast[1] == "RegisterPairFaultError"
-        assert fast[3] is not None and fast[3]["pc"] == BASE
+        # the typed trap carries the recorded PSW.
+        record = _replay_run("register-pair-fault")
+        assert record["fault"]["class"] == "RegisterPairFaultError"
+        assert record["fault"]["psw"]["pc"] == BASE
 
     def test_register_pair_fault_raised_directly(self):
         sim = Simulator()
@@ -114,38 +207,17 @@ class TestSelfModifyingCode:
 
         Iteration 1 executes ``A`` (r3 += 10) and stores an ``S``
         encoding over it; iteration 2 must execute the new ``S``
-        (r3 -= 10) in *both* lanes -- the fast lane only passes if the
-        store invalidated the already-predecoded slot.
+        (r3 -= 10) -- which only happens if the store invalidated the
+        already-predecoded slot.
         """
-        replacement = ENC.encode(
-            Instr("s", (R(3), Mem(4, 0, runtime.R_GLOBAL_BASE)))
-        )
-        data = replacement + (10).to_bytes(4, "big")
-        instrs = [
-            # 0: load the replacement instruction word
-            Instr("l", (R(6), Mem(0, 0, runtime.R_GLOBAL_BASE))),
-            # 4: the loop target -- initially  A r3,=10
-            Instr("a", (R(3), Mem(4, 0, runtime.R_GLOBAL_BASE))),
-            # 8: overwrite offset 4 with the S encoding
-            Instr("st", (R(6), Mem(4, 0, runtime.R_CODE_BASE))),
-            # 12: loop twice
-            Instr("bct", (R(4), Mem(4, 0, runtime.R_CODE_BASE))),
-        ]
-
-        def setup(sim):
-            sim.regs[3] = 0
-            sim.regs[4] = 2
-
-        image = _image(instrs, data=data)
-        fast = _assert_lanes_agree(image, setup=setup)
-        assert fast[0] == "ok"
-        assert fast[2][3] == 0  # +10 then -10, not +10 +10
+        record = _replay_run("self-modifying")
+        assert record["regs"][3] == 0  # +10 then -10, not +10 +10
 
     def test_invalidation_is_exact(self):
         """A store drops exactly the overlapping predecoded slots."""
         instrs = [Instr("lr", (R(1), R(1))) for _ in range(5)]  # 2B each
         image = _image(instrs)
-        sim = Simulator(predecode=True)
+        sim = Simulator()
         sim.load_image(image)
         result = sim.run()
         assert result.halted
@@ -171,7 +243,7 @@ class TestSelfModifyingCode:
 
     def test_load_image_clears_cache(self):
         image = _image([Instr("lr", (R(1), R(1)))])
-        sim = Simulator(predecode=True)
+        sim = Simulator()
         sim.load_image(image)
         sim.run()
         assert sim.decoded_pcs
@@ -180,21 +252,9 @@ class TestSelfModifyingCode:
 
 
 class TestLaneSelection:
-    def test_legacy_lane_never_populates_cache(self):
-        compiled = compile_source(W.straightline(10, seed=2))
-        sim = Simulator(predecode=False)
-        sim.load_image(compiled.image())
-        result = sim.run()
-        assert result.halted
-        assert sim.decoded_pcs == set()
-
     def test_embedded_data_is_never_decoded(self):
         # Lazy decode: a garbage word placed after the halt is part of
         # the text region but never executed, so it must never decode
         # (eager predecode would fault on it).
-        code = ENC.encode(Instr("lr", (R(1), R(1))))
-        code += ENC.encode(Instr("svc", (Imm(isa.SVC_HALT),)))
-        code += b"\xff\xff\xff\xff"  # not a valid instruction
-        image = runtime.ExecutableImage(code=code, entry=0)
-        fast = _assert_lanes_agree(image)
-        assert fast[0] == "ok"
+        record = _replay_run("embedded-data")
+        assert record["fault"] is None and record["halted"]
