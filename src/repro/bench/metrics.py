@@ -19,22 +19,21 @@ from collections import Counter
 from pathlib import Path
 from typing import Dict, Iterable, List, Optional
 
-from repro.core.codegen.emitter import Instr, R
+from repro.core.codegen.emitter import Imm, Instr, R
+from repro.machines.s370.isa import OPCODES
 
-#: Opcodes whose first register operand is *written* (simplified S/370
-#: dataflow, enough for a relative contention metric).
-_WRITES_FIRST = {
-    "l", "lh", "la", "ic", "a", "ah", "s", "sh", "m", "mh", "d",
-    "n", "o", "x", "lr", "ltr", "lcr", "lpr", "lnr", "ar", "sr", "mr",
-    "dr", "nr", "or", "xr", "sla", "sra", "sll", "srl", "slda", "srda",
-    "bal", "balr", "bctr", "bct",
-}
 
 def _write_of(instr: Instr) -> Optional[int]:
-    if instr.opcode in _WRITES_FIRST and instr.operands:
+    """The register an S/370 instruction's first operand defines (an
+    Imm there is a constant naming a register, such as the epilogue's
+    ``lm 2,12,...``)."""
+    info = OPCODES.get(instr.opcode)
+    if info is not None and info.roles[0].defs and instr.operands:
         first = instr.operands[0]
         if isinstance(first, R):
             return first.n
+        if isinstance(first, Imm):
+            return first.value
     return None
 
 
@@ -113,11 +112,6 @@ def idiom_counts(listing: str) -> Counter:
         if words[0].isalpha():
             counter[words[0]] += 1
     return counter
-
-
-def executed_instruction_count(sim_result) -> int:
-    """Instructions executed by a simulator run (both simulators)."""
-    return sim_result.steps
 
 
 def steps_per_second(steps: int, seconds: float) -> float:

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
-from repro.machines.s370.isa import DECODE_TABLE, OpInfo
+from repro.machines.s370.isa import DECODE_TABLE, REG, UNUSED, OpInfo
 
 
 @dataclass(frozen=True)
@@ -45,35 +45,29 @@ def _decode_one(code: bytes, offset: int) -> Tuple[int, str]:
     def byte(i: int) -> int:
         return code[offset + i] if offset + i < len(code) else 0
 
-    mnemonic = info.mnemonic
+    # The field layouts of the formats (see isa), in operand order; the
+    # record's roles say how each field is written.
+    hi, lo = byte(1) >> 4, byte(1) & 0xF
+    base, disp = byte(2) >> 4, ((byte(2) & 0xF) << 8) | byte(3)
     if info.format == "RR":
-        r1, r2 = byte(1) >> 4, byte(1) & 0xF
-        first = str(r1) if info.mask_r1 else f"r{r1}"
-        return 2, f"{mnemonic:<6}{first},r{r2}"
-    if info.format == "SVC":
-        return 2, f"{mnemonic:<6}{byte(1)}"
-    if info.format == "RX":
-        r1, x2 = byte(1) >> 4, byte(1) & 0xF
-        b2, d2 = byte(2) >> 4, ((byte(2) & 0xF) << 8) | byte(3)
-        first = str(r1) if info.mask_r1 else f"r{r1}"
-        return 4, f"{mnemonic:<6}{first},{_mem(d2, x2, b2)}"
-    if info.format == "RS":
-        r1, r3 = byte(1) >> 4, byte(1) & 0xF
-        b2, d2 = byte(2) >> 4, ((byte(2) & 0xF) << 8) | byte(3)
-        if mnemonic in ("stm", "lm"):
-            return 4, f"{mnemonic:<6}r{r1},r{r3},{_mem(d2, 0, b2)}"
-        return 4, f"{mnemonic:<6}r{r1},{_mem(d2, 0, b2)}"
-    if info.format == "SI":
-        i2 = byte(1)
-        b1, d1 = byte(2) >> 4, ((byte(2) & 0xF) << 8) | byte(3)
-        return 4, f"{mnemonic:<6}{_mem(d1, 0, b1)},{i2}"
-    assert info.format == "SS"
-    length = byte(1)
-    b1, d1 = byte(2) >> 4, ((byte(2) & 0xF) << 8) | byte(3)
-    b2, d2 = byte(4) >> 4, ((byte(4) & 0xF) << 8) | byte(5)
-    return 6, (
-        f"{mnemonic:<6}{d1}({length + 1},{b1}),{_mem(d2, 0, b2)}"
+        fields = (hi, lo)
+    elif info.format == "RX":
+        fields = (hi, _mem(disp, lo, base))
+    elif info.format == "RS":
+        fields = (hi, lo, _mem(disp, 0, base))
+    elif info.format == "SI":
+        fields = (_mem(disp, 0, base), byte(1))
+    elif info.format == "SS":
+        b2, d2 = byte(4) >> 4, ((byte(4) & 0xF) << 8) | byte(5)
+        fields = (f"{disp}({byte(1) + 1},{base})", _mem(d2, 0, b2))
+    else:  # SVC
+        fields = (byte(1),)
+    text = ",".join(
+        f"r{field}" if role.kind == REG else str(field)
+        for role, field in zip(info.roles, fields)
+        if role.kind != UNUSED
     )
+    return info.length, f"{info.mnemonic:<6}{text}"
 
 
 def disassemble(

@@ -14,6 +14,10 @@ cannot usefully model (``ex``, ``mvcl``, ``clcl``) are *deliberate*
 barriers, which is still an entry -- a mnemonic missing entirely would
 be an SL053 coverage gap.
 
+Most entries are read off the operand roles and CC behaviour of the
+:mod:`repro.machines.s370.isa` records; only :data:`HAND_WRITTEN`
+mnemonics, whose effects depend on operand values, have code here.
+
 Refinements over the peephole's original facts:
 
 * ``stm``/``lm`` get real wrap-around register-range effects (marked
@@ -27,6 +31,7 @@ Refinements over the peephole's original facts:
 
 from __future__ import annotations
 
+from dataclasses import replace
 from typing import FrozenSet, Optional
 
 from repro.core.effects import (
@@ -35,34 +40,33 @@ from repro.core.effects import (
     FLOW_CJUMP,
     FLOW_HALT,
     FLOW_JUMP,
+    FLOW_NONE,
     InstrEffects,
     Loc,
 )
 from repro.core.codegen.emitter import Imm, Instr, Mem, R
 from repro.machines.s370 import isa
-from repro.machines.s370.isa import OPCODES
-
-_RR_ARITH = frozenset({"ar", "sr", "nr", "or", "xr", "alr", "slr"})
-_RR_MOVE_CC = frozenset({"ltr", "lcr", "lpr", "lnr"})
-_RR_CMP = frozenset({"cr", "clr"})
-_RX_LOAD = {"l": 4, "lh": 2}
-_RX_STORE = {"st": 4, "sth": 2, "stc": 1}
-_RX_ARITH = {"a": 4, "s": 4, "n": 4, "o": 4, "x": 4, "ah": 2, "sh": 2}
-_RX_CMP = {"c": 4, "ch": 2, "cl": 4}
-_SHIFT_SINGLE = frozenset({"sla", "sra", "sll", "srl"})
-_SHIFT_DOUBLE = frozenset({"slda", "srda", "sldl", "srdl"})
-
-#: Instructions with an implicit even/odd sibling: renaming an operand
-#: silently changes which sibling participates, so rename spans refuse
-#: to touch them.
-PAIR_OPS = frozenset(
-    {"mr", "dr", "m", "d", "slda", "srda", "sldl", "srdl", "mvcl", "clcl"}
+from repro.machines.s370.isa import (
+    ADDR,
+    OPCODES,
+    REG,
+    REGISTER_FIELDS,
+    SS_LENGTH,
+    OpInfo,
 )
 
 #: Instructions the table deliberately models as full barriers: execute
 #: rewrites its target, and the long-move/compare forms carry dynamic
 #: lengths in register pairs.
 DELIBERATE_BARRIERS = frozenset({"ex", "mvcl", "clcl"})
+
+#: Mnemonics whose effects depend on operand values (branch flow by
+#: mask, the SVC services, the STM/LM register ranges, the runtime-stub
+#: BAL contracts) or that are deliberate barriers; the roles in
+#: :data:`OPCODES` describe every other mnemonic completely.
+HAND_WRITTEN = DELIBERATE_BARRIERS | frozenset(
+    {"bc", "bcr", "bal", "balr", "bct", "bctr", "svc", "stm", "lm"}
+)
 
 #: Registers with defined values when the simulator enters a module (or
 #: a caller BALs into a routine): the runtime bases, link registers and
@@ -194,13 +198,71 @@ def _branch_flow(mask: Optional[int]) -> str:
     return FLOW_CJUMP
 
 
+def _derived(info: OpInfo, ops) -> InstrEffects:
+    """Effects read off the operand roles of ``info``."""
+    roles = info.required
+    # RR instructions read their two register fields and ignore any
+    # further operands.
+    if len(ops) != len(roles) and (
+        len(ops) < len(roles) or info.format != "RR"
+    ):
+        return BARRIER_EFFECTS
+    uses, defs, regs, reads, writes = set(), set(), [], [], []
+    length = None
+    for role, operand in zip(roles, ops):
+        if role.kind == REG:
+            n = _reg_of(operand)
+            if n is None:
+                return BARRIER_EFFECTS
+            regs.append(n)
+            for k in role.uses:
+                uses.add(n + k)
+            for k in role.defs:
+                defs.add(n + k)
+        elif role.kind == ADDR:
+            width = role.width
+            if width == SS_LENGTH:
+                if length is None:
+                    # SS D1(L,B1): the length rides in the index slot,
+                    # the address is D1(,B1).
+                    if not isinstance(operand, Mem):
+                        return BARRIER_EFFECTS
+                    length = operand.index + 1
+                    operand = Mem(operand.disp, 0, operand.base)
+                width = length
+            uses |= _addr_regs(operand)
+            if role.access:
+                loc = _loc_of(operand, width)
+                if "r" in role.access:
+                    reads.append(loc)
+                if "w" in role.access:
+                    writes.append(loc)
+    if info.zero_idiom and regs[0] == regs[1]:
+        # The result (and the CC) is 0 whatever the register held, so
+        # this is a definition, not a use -- exactly like the
+        # caller-provided values behind an STM.
+        return InstrEffects(defs=frozenset(regs[:1]), sets_cc=True)
+    return InstrEffects(
+        uses=frozenset(uses),
+        defs=frozenset(defs),
+        reads=tuple(reads),
+        writes=tuple(writes),
+        sets_cc=bool(info.cc),
+        cc_only=info.cc == "only",
+        pair=info.pair,
+    )
+
+
 def instr_effects(instr: Instr) -> Optional[InstrEffects]:
     """Effects for one symbolic instruction; ``None`` when the mnemonic
     is outside :data:`OPCODES` (the framework then assumes a barrier)."""
     op = instr.opcode
     ops = instr.operands
-    if op not in OPCODES:
+    info = OPCODES.get(op)
+    if info is None:
         return None
+    if op not in HAND_WRITTEN:
+        return _derived(info, ops)
     if op in DELIBERATE_BARRIERS:
         return BARRIER_EFFECTS
     # ---- control transfers ------------------------------------------------
@@ -246,26 +308,19 @@ def instr_effects(instr: Instr) -> Optional[InstrEffects]:
         defs = frozenset({link}) if link is not None else frozenset()
         return InstrEffects(defs=defs, barrier=True, flow=FLOW_CALL)
     if op == "bct":
-        if len(ops) != 2:
-            return BARRIER_EFFECTS
-        r1 = _reg_of(ops[0])
-        if r1 is None:
-            return BARRIER_EFFECTS
-        return InstrEffects(
-            uses=frozenset({r1}) | _addr_regs(ops[1]),
-            defs=frozenset({r1}),
-            flow=FLOW_CJUMP,
-        )
+        effects = _derived(info, ops)
+        if effects.barrier:
+            return effects
+        return replace(effects, flow=FLOW_CJUMP)
     if op == "bctr":
         regs = _rr(ops, 2)
-        if regs is not None and regs[1] == 0:  # decrement-only form
-            return InstrEffects(
-                uses=frozenset({regs[0]}), defs=frozenset({regs[0]})
-            )
         if regs is None:
             return BARRIER_EFFECTS
+        target = regs[1]  # bctr r,0 only decrements
         return InstrEffects(
-            uses=frozenset(regs), defs=frozenset({regs[0]}), flow=FLOW_CJUMP
+            uses=frozenset(regs if target else regs[:1]),
+            defs=frozenset(regs[:1]),
+            flow=FLOW_CJUMP if target else FLOW_NONE,
         )
     if op == "svc":
         number = _reg_of(ops[0]) if len(ops) == 1 else None
@@ -294,158 +349,7 @@ def instr_effects(instr: Instr) -> Optional[InstrEffects]:
         if number == isa.SVC_READ_INT:
             return InstrEffects(defs=frozenset({1}), writes=(None,))
         return InstrEffects(barrier=True, flow=FLOW_CALL)
-    if op == "stm":
-        return _multi_move(instr, is_store=True)
-    if op == "lm":
-        return _multi_move(instr, is_store=False)
-    # ---- RR formats -------------------------------------------------------
-    if op in _RR_ARITH or op in _RR_MOVE_CC or op in ("lr", "mr", "dr") \
-            or op in _RR_CMP:
-        regs = _rr(ops, 2)
-        if regs is None:
-            return BARRIER_EFFECTS
-        r1, r2 = regs
-        if op in _RR_CMP:
-            return InstrEffects(
-                uses=frozenset({r1, r2}), sets_cc=True, cc_only=True
-            )
-        if op == "lr":
-            return InstrEffects(uses=frozenset({r2}), defs=frozenset({r1}))
-        if op in _RR_MOVE_CC:
-            return InstrEffects(
-                uses=frozenset({r2}), defs=frozenset({r1}), sets_cc=True
-            )
-        if op in ("mr", "dr"):
-            # Multiply reads only the odd half (the even register is
-            # pure result space); divide reads the full even/odd
-            # dividend.
-            dividend = frozenset({r1, r1 + 1}) if op == "dr" \
-                else frozenset({r1 + 1})
-            return InstrEffects(
-                uses=dividend | frozenset({r2}),
-                defs=frozenset({r1, r1 + 1}),
-                pair=True,
-            )
-        if op in ("sr", "xr", "slr") and r1 == r2:
-            # Zero idiom: the result (and the CC) is 0 whatever the
-            # register held, so this is a definition, not a use --
-            # exactly like the caller-provided values behind an STM.
-            return InstrEffects(defs=frozenset({r1}), sets_cc=True)
-        return InstrEffects(  # RR arithmetic
-            uses=frozenset({r1, r2}), defs=frozenset({r1}), sets_cc=True
-        )
-    # ---- shifts -----------------------------------------------------------
-    if op in _SHIFT_SINGLE or op in _SHIFT_DOUBLE:
-        if len(ops) != 2:
-            return BARRIER_EFFECTS
-        r1 = _reg_of(ops[0])
-        if r1 is None:
-            return BARRIER_EFFECTS
-        amount_regs = _addr_regs(ops[1])
-        regs = frozenset({r1, r1 + 1}) if op in _SHIFT_DOUBLE \
-            else frozenset({r1})
-        return InstrEffects(
-            uses=regs | amount_regs,
-            defs=regs,
-            sets_cc=op in ("sla", "sra", "slda", "srda"),
-            pair=op in _SHIFT_DOUBLE,
-        )
-    # ---- RX formats: register + storage operand ---------------------------
-    if op in ("l", "lh", "la", "ic", "st", "sth", "stc", "a", "s", "n",
-              "o", "x", "ah", "sh", "mh", "c", "ch", "cl", "m", "d"):
-        if len(ops) != 2:
-            return BARRIER_EFFECTS
-        r1 = _reg_of(ops[0])
-        if r1 is None:
-            return BARRIER_EFFECTS
-        addr = _addr_regs(ops[1])
-        if op == "la":
-            return InstrEffects(uses=addr, defs=frozenset({r1}))
-        if op in _RX_LOAD:
-            return InstrEffects(
-                uses=addr,
-                defs=frozenset({r1}),
-                reads=(_loc_of(ops[1], _RX_LOAD[op]),),
-            )
-        if op == "ic":
-            return InstrEffects(
-                uses=addr | frozenset({r1}),
-                defs=frozenset({r1}),
-                reads=(_loc_of(ops[1], 1),),
-            )
-        if op in _RX_STORE:
-            return InstrEffects(
-                uses=addr | frozenset({r1}),
-                writes=(_loc_of(ops[1], _RX_STORE[op]),),
-            )
-        if op in _RX_ARITH:
-            return InstrEffects(
-                uses=addr | frozenset({r1}),
-                defs=frozenset({r1}),
-                reads=(_loc_of(ops[1], _RX_ARITH[op]),),
-                sets_cc=True,
-            )
-        if op == "mh":
-            return InstrEffects(
-                uses=addr | frozenset({r1}),
-                defs=frozenset({r1}),
-                reads=(_loc_of(ops[1], 2),),
-            )
-        if op in _RX_CMP:
-            return InstrEffects(
-                uses=addr | frozenset({r1}),
-                reads=(_loc_of(ops[1], _RX_CMP[op]),),
-                sets_cc=True,
-                cc_only=True,
-            )
-        # m / d: even/odd pair with a storage operand.  Multiply reads
-        # only the odd half; divide the full even/odd dividend.
-        dividend = frozenset({r1, r1 + 1}) if op == "d" \
-            else frozenset({r1 + 1})
-        return InstrEffects(
-            uses=addr | dividend,
-            defs=frozenset({r1, r1 + 1}),
-            reads=(_loc_of(ops[1], 4),),
-            pair=True,
-        )
-    # ---- SI formats: storage + immediate ----------------------------------
-    if op in ("mvi", "ni", "oi", "xi", "tm", "cli"):
-        if len(ops) != 2:
-            return BARRIER_EFFECTS
-        addr = _addr_regs(ops[0])
-        loc = _loc_of(ops[0], 1)
-        if op == "mvi":
-            return InstrEffects(uses=addr, writes=(loc,))
-        if op in ("tm", "cli"):
-            return InstrEffects(
-                uses=addr, reads=(loc,), sets_cc=True, cc_only=True
-            )
-        return InstrEffects(  # ni/oi/xi
-            uses=addr, reads=(loc,), writes=(loc,), sets_cc=True
-        )
-    # ---- SS formats: the length rides in the first operand's index slot ---
-    if op in ("mvc", "clc", "nc", "oc", "xc"):
-        if len(ops) != 2 or not isinstance(ops[0], Mem):
-            return BARRIER_EFFECTS
-        width = ops[0].index + 1
-        dst = (ops[0].base, 0, ops[0].disp, width)
-        src = _loc_of(ops[1], width)
-        src_regs = _addr_regs(ops[1])
-        base = frozenset({ops[0].base}) if ops[0].base else frozenset()
-        if op == "mvc":
-            return InstrEffects(
-                uses=base | src_regs, reads=(src,), writes=(dst,)
-            )
-        if op == "clc":
-            return InstrEffects(
-                uses=base | src_regs, reads=(dst, src),
-                sets_cc=True, cc_only=True,
-            )
-        return InstrEffects(  # nc/oc/xc
-            uses=base | src_regs, reads=(dst, src), writes=(dst,),
-            sets_cc=True,
-        )
-    return BARRIER_EFFECTS  # pragma: no cover - every OPCODES entry handled
+    return _multi_move(instr, is_store=op == "stm")  # stm / lm
 
 
 #: Mnemonics :func:`instr_effects` understands (= the whole ISA).
@@ -462,17 +366,10 @@ def imm_reg_mention(instr: Instr, reg: int) -> bool:
     info = OPCODES.get(instr.opcode)
     if info is None:
         return True  # unknown: assume the worst
-    if info.format == "RR":
-        positions = (0, 1)
-    elif info.format in ("RX",):
-        positions = (0,)
-    elif info.format == "RS":
-        positions = (0, 1) if len(instr.operands) == 3 else (0,)
-    else:
-        positions = ()
-    for pos in positions:
-        if pos < len(instr.operands):
-            operand = instr.operands[pos]
-            if isinstance(operand, Imm) and operand.value == reg:
-                return True
-    return False
+    roles = info.roles_for(len(instr.operands)) or info.roles
+    return any(
+        role.kind in REGISTER_FIELDS
+        and isinstance(operand, Imm)
+        and operand.value == reg
+        for role, operand in zip(roles, instr.operands)
+    )

@@ -59,25 +59,21 @@ def _mem_fields(operand: Operand, instr: Instr) -> Tuple[int, int, int]:
     return d, x, b
 
 
-def _want(instr: Instr, n: int) -> None:
-    if len(instr.operands) != n:
+def _fields(info: OpInfo, instr: Instr) -> Tuple[Operand, ...]:
+    """One operand per role of ``info``; a left-out optional operand
+    fills its field with 0."""
+    roles = info.roles_for(len(instr.operands))
+    if roles is None:
         raise AssemblyError(
-            f"{instr.opcode}: expected {n} operands, got "
+            f"{instr.opcode}: expected {len(info.roles)} operands, got "
             f"{len(instr.operands)}"
         )
-
-
-#: Operand counts the per-format encoders below accept, for the static
-#: analyzer.  RS covers both the shift form (r1,amount) and the
-#: three-operand form; RR is 2 except bctr's decrement-only form.
-_FORMAT_ARITY = {
-    "RR": (2, 2),
-    "RX": (2, 2),
-    "RS": (2, 3),
-    "SI": (2, 2),
-    "SS": (2, 2),
-    "SVC": (1, 1),
-}
+    if roles is info.roles:
+        return instr.operands
+    given = iter(instr.operands)
+    return tuple(
+        Imm(0) if role.optional else next(given) for role in info.roles
+    )
 
 
 class S370Encoder(Encoder):
@@ -90,9 +86,7 @@ class S370Encoder(Encoder):
         info = OPCODES.get(mnemonic)
         if info is None:
             return None
-        if info.mnemonic == "bctr":
-            return (1, 2)
-        return _FORMAT_ARITY.get(info.format)
+        return len(info.required), len(info.roles)
 
     def effects(self, instr: Instr):
         from repro.machines.s370.effects import instr_effects
@@ -144,62 +138,44 @@ class S370Encoder(Encoder):
 
     def encode(self, instr: Instr, address: int = 0) -> bytes:
         info = self.info(instr)
+        ops = _fields(info, instr)
         if info.format == "RR":
-            return self._rr(info, instr)
+            return self._rr(info, instr, ops)
         if info.format == "RX":
-            return self._rx(info, instr)
+            return self._rx(info, instr, ops)
         if info.format == "RS":
-            return self._rs(info, instr)
+            return self._rs(info, instr, ops)
         if info.format == "SI":
-            return self._si(info, instr)
+            return self._si(info, instr, ops)
         if info.format == "SS":
-            return self._ss(info, instr)
-        if info.format == "SVC":
-            return self._svc(info, instr)
-        raise AssemblyError(
-            f"unhandled format {info.format!r}"
-        )  # pragma: no cover - OPCODES only uses known formats
+            return self._ss(info, instr, ops)
+        return self._svc(info, instr, ops)
 
     # ---- per-format encoders --------------------------------------------------
 
-    def _rr(self, info: OpInfo, instr: Instr) -> bytes:
-        if info.mnemonic == "bctr" and len(instr.operands) == 1:
-            # "bctr r,0": decrement-only form.
-            r1 = _reg_field(instr.operands[0], instr)
-            return bytes([info.opcode, (r1 << 4)])
-        _want(instr, 2)
-        r1 = _reg_field(instr.operands[0], instr)
-        r2 = _reg_field(instr.operands[1], instr)
+    def _rr(self, info: OpInfo, instr: Instr, ops) -> bytes:
+        r1 = _reg_field(ops[0], instr)
+        r2 = _reg_field(ops[1], instr)
         return bytes([info.opcode, (r1 << 4) | r2])
 
-    def _rx(self, info: OpInfo, instr: Instr) -> bytes:
-        _want(instr, 2)
-        r1 = _reg_field(instr.operands[0], instr)
-        d, x, b = _mem_fields(instr.operands[1], instr)
+    def _rx(self, info: OpInfo, instr: Instr, ops) -> bytes:
+        r1 = _reg_field(ops[0], instr)
+        d, x, b = _mem_fields(ops[1], instr)
         return bytes(
             [info.opcode, (r1 << 4) | x, (b << 4) | (d >> 8), d & 0xFF]
         )
 
-    def _rs(self, info: OpInfo, instr: Instr) -> bytes:
-        if len(instr.operands) == 2:
-            # Shift form: r1, shift-amount.
-            r1 = _reg_field(instr.operands[0], instr)
-            d, _x, b = _mem_fields(instr.operands[1], instr)
-            return bytes(
-                [info.opcode, r1 << 4, (b << 4) | (d >> 8), d & 0xFF]
-            )
-        _want(instr, 3)
-        r1 = _reg_field(instr.operands[0], instr)
-        r3 = _reg_field(instr.operands[1], instr)
-        d, _x, b = _mem_fields(instr.operands[2], instr)
+    def _rs(self, info: OpInfo, instr: Instr, ops) -> bytes:
+        r1 = _reg_field(ops[0], instr)
+        r3 = _reg_field(ops[1], instr)
+        d, _x, b = _mem_fields(ops[2], instr)
         return bytes(
             [info.opcode, (r1 << 4) | r3, (b << 4) | (d >> 8), d & 0xFF]
         )
 
-    def _si(self, info: OpInfo, instr: Instr) -> bytes:
-        _want(instr, 2)
-        d, _x, b = _mem_fields(instr.operands[0], instr)
-        i2 = instr.operands[1]
+    def _si(self, info: OpInfo, instr: Instr, ops) -> bytes:
+        d, _x, b = _mem_fields(ops[0], instr)
+        i2 = ops[1]
         if not isinstance(i2, Imm):
             raise AssemblyError(
                 f"{instr.opcode}: immediate operand required, got {i2}"
@@ -212,9 +188,8 @@ class S370Encoder(Encoder):
             [info.opcode, i2.value, (b << 4) | (d >> 8), d & 0xFF]
         )
 
-    def _ss(self, info: OpInfo, instr: Instr) -> bytes:
-        _want(instr, 2)
-        first = instr.operands[0]
+    def _ss(self, info: OpInfo, instr: Instr, ops) -> bytes:
+        first = ops[0]
         if not isinstance(first, Mem):
             raise AssemblyError(
                 f"{instr.opcode}: first operand must be D1(L,B1)"
@@ -225,7 +200,7 @@ class S370Encoder(Encoder):
                 f"{instr.opcode}: length {length} does not fit a byte"
             )
         d1, b1 = first.disp, first.base
-        d2, _x2, b2 = _mem_fields(instr.operands[1], instr)
+        d2, _x2, b2 = _mem_fields(ops[1], instr)
         if not 0 <= d1 <= 0xFFF:
             raise AssemblyError(
                 f"{instr.opcode}: displacement {d1} does not fit 12 bits"
@@ -241,9 +216,8 @@ class S370Encoder(Encoder):
             ]
         )
 
-    def _svc(self, info: OpInfo, instr: Instr) -> bytes:
-        _want(instr, 1)
-        number = instr.operands[0]
+    def _svc(self, info: OpInfo, instr: Instr, ops) -> bytes:
+        number = ops[0]
         if not isinstance(number, Imm) or not 0 <= number.value <= 0xFF:
             raise AssemblyError("svc: service number must be a byte")
         return bytes([info.opcode, number.value])

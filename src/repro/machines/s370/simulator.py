@@ -419,7 +419,8 @@ class Simulator:
 # counted), executes second and updates the program counter last.
 # Effective addresses are recomputed on every execution (base/index
 # registers are live state); everything else is constant.  A branch
-# that also writes r1 (BAL, BCT) computes its address before the write.
+# that also writes r1 (BAL, BALR, BCT, BCTR) computes its address
+# before the write, as r1 may also address the branch target.
 
 
 def _ea_factory(sim: "Simulator", x: int, b: int, d: int) -> Callable[[], int]:
@@ -565,15 +566,16 @@ def _decode_rr(sim: "Simulator", pc: int, info: isa.OpInfo):
     elif op == "balr":
         def fn() -> None:
             counts["balr"] += 1
+            address = (regs[r2] & 0xFFFFFF) if r2 else next_pc
             regs[r1] = next_pc
-            # regs[r2] is read *after* the r1 write (r1 may equal r2).
-            sim.pc = (regs[r2] & 0xFFFFFF) if r2 else next_pc
+            sim.pc = address
     elif op == "bctr":
         def fn() -> None:
             counts["bctr"] += 1
+            address = regs[r2] & 0xFFFFFF
             regs[r1] = to_u32(to_s32(regs[r1]) - 1)
             if r2 and regs[r1] != 0:
-                sim.pc = regs[r2] & 0xFFFFFF
+                sim.pc = address
             else:
                 sim.pc = next_pc
     elif op == "mvcl":

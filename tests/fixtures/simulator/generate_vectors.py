@@ -10,7 +10,10 @@ named in the vectors' header, which still has that lane:
 
 Each vector is also replayed on the predecoded lane of that commit;
 the ids it disagreed on are listed in the header
-(``predecoded_lane_disagreed_on``).
+(``predecoded_lane_disagreed_on``).  Both lanes branched wrongly on
+``balr``/``bctr`` with r1 == r2; the post-states in
+:data:`CORRECTED_AFTER_RECORDING` are corrected here and listed in the
+header under that name.
 """
 import hashlib
 import json
@@ -297,6 +300,24 @@ VARIANTS = {
 RANDOM_CASES = 6
 DISAGREE = []
 
+#: Vectors whose recorded post-state is corrected, with the reason.
+CORRECTED_AFTER_RECORDING = {
+    vid: "balr/bctr with r1 == r2: the recorded lane read r2 after "
+         "writing r1; the branch address is the r2 value before the "
+         "instruction (Principles of Operation)"
+    for vid in ("balr-1", "balr-7", "bctr-8")
+}
+
+
+def correct(vector):
+    """Branch to r2's value before r1 was written."""
+    pre, post = vector["pre"], vector["post"]
+    code = dict(pre["mem"])[pre["pc"]]
+    r1, r2 = int(code[2], 16), int(code[3], 16)
+    # The branch is taken: a nonzero r2 and (bctr) a nonzero count.
+    assert r1 == r2 != 0 and post["regs"][r1] != 0, vector["id"]
+    post["pc"] = pre["regs"][r2] & 0xFFFFFF
+
 
 # ---- execution and state capture ---------------------------------------------
 
@@ -426,6 +447,8 @@ def make_steps(rng):
             DISAGREE.append(vid)
         out.append({"id": vid, "mnemonic": mnemonic, "pre": pre,
                     "post": post})
+        if vid in CORRECTED_AFTER_RECORDING:
+            correct(out[-1])
     return out
 
 
@@ -559,6 +582,7 @@ def main():
         "predecoded_lane_disagreed_on": sorted(DISAGREE),
     }
     dump(f"{out_dir}/steps.json", dict(common, **{
+        "corrected_after_recording": CORRECTED_AFTER_RECORDING,
         "memory_size": MEM,
         "format": "pre: regs, cc, pc, mem [[addr, hex]], strict_alignment, "
                   "input; post: regs, cc, pc, mem (same windows), output, "

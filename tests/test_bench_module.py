@@ -55,6 +55,20 @@ class TestReuseDistance:
         ]
         assert register_reuse_distance(instrs) == 2.0
 
+    @pytest.mark.parametrize("writer", [
+        Instr("lm", (R(1), R(3), Mem(8, 0, 13))),
+        Instr("lm", (Imm(1), Imm(12), Mem(24, 0, 13))),  # epilogue form
+        Instr("sldl", (R(1), Imm(4))),
+        Instr("srdl", (R(1), Imm(4))),
+    ])
+    def test_every_first_operand_def_is_a_write(self, writer):
+        instrs = [
+            Instr("l", (R(1), Mem(0, 0, 13))),
+            writer,
+            Instr("l", (R(1), Mem(8, 0, 13))),
+        ]
+        assert register_reuse_distance(instrs) == 1.0
+
 
 class TestIdiomCounts:
     def test_counts_from_real_listing(self):

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 from repro.core.codegen.emitter import Imm, Instr, Mem, R
 from repro.machines.s370.disasm import disassemble, render
 from repro.machines.s370.encode import S370Encoder
-from repro.machines.s370.isa import OPCODES
+from repro.machines.s370.isa import MASK, OPCODES
 
 ENC = S370Encoder()
 
@@ -106,11 +106,12 @@ def _mem_strategy():
 
 
 _RX_OPS = sorted(
-    n for n, i in OPCODES.items() if i.format == "RX" and not i.mask_r1
+    n for n, i in OPCODES.items()
+    if i.format == "RX" and i.roles[0].kind != MASK
 )
 _RR_OPS = sorted(
     n for n, i in OPCODES.items()
-    if i.format == "RR" and not i.mask_r1 and n != "bctr"
+    if i.format == "RR" and i.roles[0].kind != MASK and n != "bctr"
 )
 
 
@@ -144,3 +145,59 @@ class TestRoundtripProperties:
     def test_arbitrary_bytes_never_crash(self, data):
         decoded = disassemble(data)
         assert sum(d.length for d in decoded) == len(data)
+
+
+#: Operand forms per format: (operands, disassembly after the mnemonic).
+_FORMS = {
+    "RR": [((R(3), R(12)), "r3,r12"), ((R(0), R(15)), "r0,r15")],
+    "RX": [
+        ((R(5), Mem(850, 4, 12)), "r5,850(4,12)"),
+        ((R(1), Mem(80, 0, 13)), "r1,80(,13)"),
+        ((R(2), Imm(100)), "r2,100"),
+    ],
+    "RS": [((R(2), Imm(3)), "r2,3"), ((R(4), Mem(5, 0, 7)), "r4,5(,7)")],
+    "SI": [
+        ((Mem(80, 0, 13), Imm(1)), "80(,13),1"),
+        ((Mem(4095, 0, 0), Imm(255)), "4095,255"),
+    ],
+    "SS": [  # length bytes 0 and 255: 1 and 256 bytes
+        ((Mem(0, 0, 1), Mem(0, 0, 2)), "0(1,1),0(,2)"),
+        ((Mem(16, 255, 13), Mem(4, 0, 11)), "16(256,13),4(,11)"),
+    ],
+    "SVC": [((Imm(1),), "1"), ((Imm(255),), "255")],
+}
+_MASK_FORMS = [(Imm(0), "0"), (Imm(8), "8"), (Imm(15), "15")]
+_SPECIAL_FORMS = {
+    "bcr": [((m, R(14)), f"{t},r14") for m, t in _MASK_FORMS]
+    + [((Imm(8), R(0)), "8,r0")],
+    "bc": [((m, Mem(12, 0, 12)), f"{t},12(,12)") for m, t in _MASK_FORMS]
+    + [((Imm(7), Mem(40, 3, 12)), "7,40(3,12)")],
+    "bctr": [((R(4),), "r4,r0"), ((R(4), R(5)), "r4,r5")],
+    "stm": [
+        ((R(14), R(12), Mem(8, 0, 13)), "r14,r12,8(,13)"),
+        ((R(2), R(5), Mem(0, 0, 1)), "r2,r5,0(,1)"),
+    ],
+}
+_SPECIAL_FORMS["lm"] = _SPECIAL_FORMS["stm"]
+
+#: S370Encoder.operand_arity per format; bctr also takes one operand.
+_ARITY = {"RR": (2, 2), "RX": (2, 2), "RS": (2, 3), "SI": (2, 2),
+          "SS": (2, 2), "SVC": (1, 1)}
+
+
+@pytest.mark.parametrize("mnemonic", sorted(OPCODES))
+def test_every_record_roundtrips(mnemonic):
+    """encode -> disassemble gives the exact text and size of every
+    operand form; the arity the static analyzer checks is pinned."""
+    info = OPCODES[mnemonic]
+    forms = _SPECIAL_FORMS.get(mnemonic, _FORMS[info.format])
+    for operands, text in forms:
+        instr = Instr(mnemonic, operands)
+        data = ENC.encode(instr)
+        assert ENC.size(instr) == len(data) == info.length
+        decoded = disassemble(data)
+        assert [(d.length, d.text) for d in decoded] == [
+            (info.length, f"{mnemonic:<6}{text}")
+        ]
+    expected = (1, 2) if mnemonic == "bctr" else _ARITY[info.format]
+    assert ENC.operand_arity(mnemonic) == expected

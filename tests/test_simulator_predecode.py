@@ -6,7 +6,9 @@ deleted; its header names the commit and the seed.  ``steps.json``
 pins one instruction per vector -- every mnemonic in ``isa.OPCODES``,
 every SVC service, unknown opcodes and a pc outside memory -- as a
 pre-state and a post-state: registers, CC, pc, a sparse memory window,
-output, instruction counts and the typed trap with its PSW.
+output, instruction counts and the typed trap with its PSW.  Three
+``balr``/``bctr`` post-states were corrected after recording; the
+header lists them under ``corrected_after_recording`` with the reason.
 ``runs.json`` pins whole runs: compiled workloads, alignment faults and
 tolerance, the register-pair fault, self-modifying code and embedded
 data.  The simulator's one execution lane must reproduce both.
